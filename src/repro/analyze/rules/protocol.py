@@ -5,16 +5,17 @@ wrappers (``server/client.py``) are two halves of one contract; a route
 without a wrapper is untestable from the load tests, and a wrapper no
 test exercises is dead weight that can silently rot.
 
-- **PC001** -- a route handled in ``protocol.py`` has no ``SimClient``
+- **PC001** -- a ``ROUTES`` entry in ``protocol.py`` has no ``SimClient``
   wrapper whose body mentions the route path.
 - **PC002** -- a wrapper for a route is never referenced by any test
   under ``tests/``.
 - **PC003** -- the route set differs from the baseline-pinned set but
   ``PROTOCOL_VERSION`` was not bumped.
 
-Routes are extracted from comparison expressions over the dispatch tuple
-(``route == ("POST", "/compile")`` and ``route in ((...), (...))``), so
-only genuinely dispatched routes count -- documentation tables do not.
+Routes are read from the ``ROUTES`` table literal in ``protocol.py`` --
+each entry's first two positional arguments, a method (or a tuple of
+methods) and a path -- so only served routes count: route-like tuples in
+documentation or comparisons do not.  The code is parsed, never imported.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.analyze.project import Project
 PROTOCOL_MODULE = "src/repro/server/protocol.py"
 CLIENT_MODULE = "src/repro/server/client.py"
 CLIENT_CLASS = "SimClient"
+ROUTES_TABLE = "ROUTES"
 TESTS_DIR = "tests"
 
 _METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD")
@@ -39,39 +41,34 @@ _METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD")
 _NON_WRAPPERS = ("__init__", "request", "close", "_connection")
 
 
-def _route_tuple(node: ast.AST) -> Optional[Tuple[str, str, int]]:
-    """``("POST", "/compile")`` tuple constants -> (method, path, line)."""
-    if not isinstance(node, ast.Tuple) or len(node.elts) != 2:
-        return None
-    first, second = node.elts
-    if not (isinstance(first, ast.Constant)
-            and isinstance(second, ast.Constant)):
-        return None
-    if not (isinstance(first.value, str) and isinstance(second.value, str)):
-        return None
-    if first.value not in _METHODS or not second.value.startswith("/"):
-        return None
-    return first.value, second.value, node.lineno
+def _methods(node: ast.AST) -> List[str]:
+    """``"GET"`` or ``("GET", "POST")`` constants -> method names."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    names = [elt.value for elt in elts
+             if isinstance(elt, ast.Constant) and elt.value in _METHODS]
+    return names if len(names) == len(elts) else []
 
 
 def extract_routes(tree: ast.Module) -> Dict[Tuple[str, str], int]:
-    """Dispatched routes -> first dispatch line."""
+    """``ROUTES`` table entries -> (method, path) -> entry line."""
     routes: Dict[Tuple[str, str], int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name)
+                        and target.id == ROUTES_TABLE
+                        for target in node.targets)
+                and isinstance(node.value, (ast.Tuple, ast.List))):
             continue
-        for op, comparator in zip(node.ops, node.comparators):
-            candidates: List[ast.AST] = []
-            if isinstance(op, ast.Eq):
-                candidates = [comparator]
-            elif isinstance(op, ast.In) and isinstance(
-                    comparator, (ast.Tuple, ast.List, ast.Set)):
-                candidates = list(comparator.elts)
-            for candidate in candidates:
-                parsed = _route_tuple(candidate)
-                if parsed is not None:
-                    method, path, line = parsed
-                    routes.setdefault((method, path), line)
+        for entry in node.value.elts:
+            if not (isinstance(entry, ast.Call) and len(entry.args) >= 2):
+                continue
+            path = entry.args[1]
+            if not (isinstance(path, ast.Constant)
+                    and isinstance(path.value, str)
+                    and path.value.startswith("/")):
+                continue
+            for method in _methods(entry.args[0]):
+                routes.setdefault((method, path.value), entry.lineno)
     return routes
 
 

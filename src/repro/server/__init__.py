@@ -7,10 +7,10 @@ handlers), a session manager for interactive step/step-back simulation, a
 threaded HTTP server with gzip content-encoding, and a client library.
 """
 
-from repro.server.protocol import ApiError, handle_request
+from repro.server.protocol import ApiError
 from repro.server.session import SessionManager
 from repro.server.httpd import SimServer, serve
 from repro.server.client import SimClient
 
-__all__ = ["handle_request", "ApiError", "SessionManager", "SimServer",
-           "serve", "SimClient"]
+__all__ = ["ApiError", "SessionManager", "SimServer", "serve",
+           "SimClient"]

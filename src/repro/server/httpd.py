@@ -6,11 +6,14 @@ measured at +40 % throughput), and a configurable per-request overhead used
 to emulate the Docker deployment rows of Table I on machines without
 Docker.
 
-Two transports share the handler: the JSON request/response endpoints
-(buffered, optionally gzipped) and the chunked NDJSON progress stream
-behind ``GET /explore/stream`` — one event per chunk, flushed as it
-happens, so ``repro-sim explore --follow`` renders sweep progress live
-instead of polling ``/explore/status``.
+Every request goes through :meth:`Api.handle` (the protocol's route
+table); the reply picks the writer.  A dict goes out as buffered JSON
+(optionally gzipped), a string as ``text/plain`` (the Prometheus scrape,
+``GET /metrics?format=prometheus``), and an event iterator (a ``stream``
+route: ``GET /explore/stream``) as chunked NDJSON — one event per chunk,
+flushed as it happens, so ``repro-sim explore --follow`` renders sweep
+progress live instead of polling ``/explore/status``.  This module
+compares no paths of its own.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import gzip
 import json
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.server.protocol import Api, ApiError
 from repro.sim.state import dumps_raw
@@ -42,18 +45,29 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown, so it cannot be skipped: this
+            # connection cannot carry another request
+            self.close_connection = True
+            raise ApiError("invalid Content-Length header")
         if length == 0:
             return None
         raw = self.rfile.read(length)
-        if self.headers.get("Content-Encoding", "") == "gzip":
-            raw = gzip.decompress(raw)
-        if not raw:
-            return None
         try:
-            return json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ApiError(f"invalid JSON body: {exc}") from exc
+            if self.headers.get("Content-Encoding", "") == "gzip":
+                raw = gzip.decompress(raw)
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors;
+            # a corrupt gzip stream raises OSError/EOFError/zlib.error
+            payload = json.loads(raw.decode("utf-8")) if raw else None
+        except (ValueError, OSError, EOFError, zlib.error) as exc:
+            raise ApiError(f"invalid request body: {exc}") from exc
+        if payload is not None and not isinstance(payload, dict):
+            raise ApiError("request body must be a JSON object")
+        return payload
 
     def _send(self, status: int, payload: dict) -> None:
         # dumps_raw splices pre-serialized state fragments (RawJson) the
@@ -72,72 +86,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _dispatch(self, method: str) -> None:
-        # simulated Docker virtualization overhead (Table I "Docker" rows)
-        if self.server.overhead_ms > 0:
-            time.sleep(self.server.overhead_ms / 1000.0)
-        try:
-            payload = self._read_body()
-            result = self.server.api.handle(method, self.path, payload)
-            self._send(200, result)
-        except ApiError as exc:
-            self._send(exc.status, exc.to_json())
-        except Exception as exc:  # noqa: BLE001 - server must not die
-            self._send(500, {"error": f"internal error: {exc}", "status": 500})
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        split = urlsplit(self.path)
-        if split.path.rstrip("/") == "/explore/stream":
-            self._stream_explore()
-            return
-        if split.path.rstrip("/") == "/metrics" \
-                and "prometheus" in parse_qs(split.query).get("format", []):
-            self._metrics_text()
-            return
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
-
-    # ------------------------------------------------------------------
-    def _metrics_text(self) -> None:
-        """``GET /metrics?format=prometheus``: text exposition format.
-
-        The only non-JSON buffered response the server serves — scrapers
-        (and ``curl``) expect ``text/plain``, so it bypasses the JSON
-        ``_send`` path."""
-        try:
-            body = self.server.api.metrics_text().encode("utf-8")
-        except Exception as exc:  # noqa: BLE001 - server must not die
-            self._send(500, {"error": f"internal error: {exc}",
-                             "status": 500})
-            return
+    def _send_text(self, text: str) -> None:
+        # the only text reply is the Prometheus exposition format
+        body = text.encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _stream_explore(self) -> None:
-        """Chunked NDJSON live progress stream (``GET /explore/stream``).
-
-        One event per chunk, flushed immediately; the stream ends (with
-        the terminating zero chunk) after the sweep's terminal event, so
-        a client can simply iterate lines until EOF.  Errors before the
-        first byte are ordinary JSON error responses."""
-        query = parse_qs(urlsplit(self.path).query)
-        sweep_id = (query.get("sweepId") or [""])[0]
-        try:
-            from_seq = int((query.get("fromSeq") or ["0"])[0] or 0)
-        except ValueError:
-            self._send(400, {"error": "fromSeq must be an integer",
-                             "status": 400})
-            return
-        try:
-            events = self.server.api.explore_stream(sweep_id, from_seq)
-        except ApiError as exc:
-            self._send(exc.status, exc.to_json())
-            return
+    def _send_stream(self, events) -> None:
+        """Chunked NDJSON: one event per chunk, flushed immediately.  The
+        stream ends (with the terminating zero chunk) when the iterator
+        does — after the sweep's terminal event — so a client can simply
+        iterate lines until EOF."""
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-cache")
@@ -150,10 +112,36 @@ class _Handler(BaseHTTPRequestHandler):
                                  + chunk + b"\r\n")
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            # client went away mid-stream: nothing to clean up — the
-            # generator holds no locks between yields
+        except Exception as exc:  # noqa: BLE001 - headers are out: hang up
+            # the client went away (or the producer failed) mid-stream:
+            # the chunked body cannot be finished, so end the connection;
+            # the generator holds no locks between yields
             self.close_connection = True
+            self.log_error("NDJSON stream aborted: %r", exc)
+
+    def _dispatch(self, method: str) -> None:
+        # simulated Docker virtualization overhead (Table I "Docker" rows)
+        if self.server.overhead_ms > 0:
+            time.sleep(self.server.overhead_ms / 1000.0)
+        try:
+            payload = self._read_body()
+            reply = self.server.api.handle(method, self.path, payload)
+            if isinstance(reply, dict):
+                self._send(200, reply)
+            elif isinstance(reply, str):
+                self._send_text(reply)
+            else:
+                self._send_stream(reply)
+        except ApiError as exc:
+            self._send(exc.status, exc.to_json())
+        except Exception as exc:  # noqa: BLE001 - server must not die
+            self._send(500, {"error": f"internal error: {exc}", "status": 500})
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._dispatch("POST")
 
 
 class SimServer(ThreadingHTTPServer):

@@ -1,38 +1,13 @@
 """JSON API protocol layer (transport-independent request handlers).
 
-Endpoints mirror the paper's server API:
+Endpoints mirror the paper's server API.  They are declared once, in the
+:data:`ROUTES` table at the end of this module: dispatch, the request
+counter's route labels, ``GET /schema`` (the machine-readable endpoint
+list) and the protocol lint rule all read that table.
 
-========================  ===================================================
-``POST /compile``         C source -> assembly (+ errors, C<->asm line map)
-``POST /parseAsm``        syntax-check assembly (editor squiggles, Fig. 7)
-``POST /simulate``        batch run: code + architecture -> statistics (CLI)
-``POST /session/new``     create an interactive session
-``POST /session/step``    advance (or step back, negative cycles) a session
-``POST /session/state``   full processor snapshot of a session
-``POST /session/seek``    jump to an absolute cycle (log navigation)
-``POST /session/close``   drop a session
-``POST /explore/submit``  queue a design-space sweep (repro.explore)
-``POST /explore/status``  sweep progress (state, jobs completed/failed)
-``POST /explore/result``  per-run records + comparison report
-``POST /explore/cancel``  cancel a queued/running sweep (fires its token)
-``POST /explore/events``  one poll of a sweep's progress-event log
-``GET  /explore/stream``  chunked NDJSON live event stream (HTTP layer)
-``POST /fleet/register``  worker registration + heartbeat (repro.fleet)
-``GET  /fleet/status``    worker-registry snapshot (health rows)
-``POST /worker/execute``  run one planned sweep job (distributed sweeps)
-``POST /worker/cancel``   fire the cancel token of an in-flight job
-``GET  /worker/status``   artifact-cache stats + active-job gauge
-``GET  /warehouse/query`` cross-run result warehouse: rows + summaries
-``GET  /warehouse/pareto``  Pareto frontier over any metric pair
-``GET  /warehouse/regressions``  sentinel diff vs the pinned baseline
-``POST /warehouse/baseline``  pin a sweep as the regression baseline
-``GET  /metrics``         telemetry scrape (JSON; Prometheus text at HTTP)
-``GET  /trace/<sweepId>`` one sweep's span tree (queue/dispatch/compile/...)
-``GET  /schema``          machine-readable endpoint list
-``GET  /health``          liveness probe (+ fleet health rows)
-========================  ===================================================
-
-Handlers receive/return plain dicts; the HTTP layer (or the in-process test
+Handlers receive plain dicts and return plain dicts — or, for the two
+non-JSON replies, an event iterator (a ``stream`` route) or a text string
+(``/metrics?format=prometheus``); the HTTP layer (or the in-process test
 harness) does (de)serialization, so the JSON cost the paper measures can be
 benchmarked separately from the simulation cost.
 
@@ -48,7 +23,8 @@ other behind it.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro.asm.parser import Assembler
@@ -150,7 +126,8 @@ def _parse_memory_locations(payload: dict) -> List[MemoryLocation]:
     locations = payload.get("memory", [])
     try:
         return [MemoryLocation.from_json(d) for d in locations]
-    except (ConfigError, KeyError, TypeError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError,
+            AttributeError) as exc:
         raise ApiError(f"invalid memory configuration: {exc}") from exc
 
 
@@ -158,149 +135,19 @@ def _parse_config(payload: dict) -> Optional[CpuConfig]:
     data = payload.get("config")
     if data is None:
         return None
+    if not isinstance(data, (str, dict)):
+        raise ApiError("'config' must be a preset name or an architecture "
+                       "object")
     try:
         if isinstance(data, str):
             return CpuConfig.preset(data)
         return CpuConfig.from_json(data)
-    except ConfigError as exc:
+    except (ConfigError, KeyError, TypeError, ValueError,
+            AttributeError) as exc:
+        # the nested from_json readers int()/.get() whatever they find:
+        # a wrongly typed field is the client's bad request, never a 500
         raise ApiError(f"invalid architecture configuration: {exc}") from exc
 
-
-SCHEMA = {
-    "protocolVersion": PROTOCOL_VERSION,
-    "snapshotSchema": SNAPSHOT_SCHEMA_VERSION,
-    "endpoints": [
-        {"method": "POST", "path": "/compile",
-         "body": {"code": "C source", "optimizeLevel": "0..3"}},
-        {"method": "POST", "path": "/parseAsm", "body": {"code": "assembly"}},
-        {"method": "POST", "path": "/simulate",
-         "body": {"code": "assembly", "config": "architecture JSON or preset",
-                  "entry": "label/address?", "memory": "[MemoryLocation]?",
-                  "maxCycles": "int?", "fullState": "bool?"}},
-        {"method": "POST", "path": "/session/new",
-         "body": {"code": "assembly", "config": "...", "entry": "...",
-                  "memory": "..."}},
-        {"method": "POST", "path": "/session/step",
-         "body": {"sessionId": "id",
-                  "cycles": "non-zero int (negative = backward), "
-                            f"|cycles| <= {MAX_STEP_CYCLES}",
-                  "delta": "bool | 'encoded'? (serve a delta against the "
-                           "last view; 'encoded' = pre-serialized)"}},
-        {"method": "POST", "path": "/session/state",
-         "body": {"sessionId": "id"}},
-        {"method": "POST", "path": "/session/seek",
-         "body": {"sessionId": "id", "cycle": "int >= 0"}},
-        {"method": "POST", "path": "/session/memory",
-         "body": {"sessionId": "id", "address": "int? (or 'symbol')",
-                  "symbol": "label/array name?", "size": "bytes?",
-                  "dtype": "word/float/... (typed values view)?",
-                  "sinceVersion": "int? (unchanged check)"}},
-        {"method": "POST", "path": "/session/close",
-         "body": {"sessionId": "id"}},
-        {"method": "POST", "path": "/explore/submit",
-         "body": {"spec": "sweep spec JSON (see repro.explore.spec)",
-                  "workers": "int? (0 = serial)",
-                  "backend": "serial/process/fleet? (default inferred "
-                             "from workers; 'fleet' runs on registered "
-                             "fleet workers)",
-                  "metric": "ranking metric? (default 'cycles')",
-                  "jobTimeoutS": "number? per-job wall-clock budget",
-                  "trace": "bool? (default true) collect the sweep's "
-                           "span tree for GET /trace/<sweepId>"}},
-        {"method": "POST", "path": "/explore/status",
-         "body": {"sweepId": "id"}},
-        {"method": "POST", "path": "/explore/result",
-         "body": {"sweepId": "id", "metric": "ranking metric?"}},
-        {"method": "POST", "path": "/explore/cancel",
-         "body": {"sweepId": "id", "reason": "string?"}},
-        {"method": "POST", "path": "/explore/events",
-         "body": {"sweepId": "id", "fromSeq": "int? (default 0)"}},
-        {"method": "GET", "path": "/explore/stream",
-         "query": {"sweepId": "id", "fromSeq": "int? (default 0)"},
-         "notes": "chunked NDJSON progress events, ends after the "
-                  "terminal event (SimClient.explore_stream)"},
-        {"method": "POST", "path": "/fleet/register",
-         "body": {"url": "worker host:port (as reachable from this "
-                         "server)",
-                  "capacity": "int? advertised parallel-job capacity",
-                  "cache": "worker artifact-cache stats? "
-                           "(surfaced on fleet health rows)"}},
-        {"method": "GET", "path": "/fleet/status"},
-        {"method": "POST", "path": "/worker/execute",
-         "body": {"payload": "one planned sweep-job payload "
-                             "(see repro.explore.plan); its 'program' "
-                             "may be an artifactRef instead of inline "
-                             "source",
-                  "cancelId": "string? cooperative-cancel handle "
-                              "(fire it via /worker/cancel)"}},
-        {"method": "GET", "path": "/artifact/<key>",
-         "notes": "content-addressed artifact fetch (data plane): "
-                  "compiled assembly, registered program specs, and "
-                  "compile recipes served by SHA-256 key; 404 for "
-                  "unknown keys (SimClient.artifact)"},
-        {"method": "POST", "path": "/artifact/prefetch",
-         "body": {"artifacts": "[{sourceKey, compileKey?, fetchFrom}] "
-                               "references to warm in the background"}},
-        {"method": "POST", "path": "/worker/cancel",
-         "body": {"cancelId": "id from the matching /worker/execute",
-                  "reason": "string?"}},
-        {"method": "GET", "path": "/worker/status"},
-        {"method": "GET", "path": "/warehouse/query",
-         "query": {"sweep": "sweep id or name?", "program": "program name?",
-                   "axes": "'axis=value,...'? (an object in a POST body)",
-                   "since": "ingest-time lower bound (epoch seconds)?",
-                   "until": "ingest-time upper bound?",
-                   "metrics": "comma-separated summary metrics?",
-                   "limit": "max rows returned?"},
-         "notes": "cross-run result warehouse: filtered records plus "
-                  "min/p50/p90/max metric summaries (POST body works "
-                  "identically)"},
-        {"method": "GET", "path": "/warehouse/pareto",
-         "query": {"x": "metric? (default 'cycles')",
-                   "y": "metric? (default 'energy')",
-                   "sweep": "sweep id or name?", "program": "program?",
-                   "axes": "'axis=value,...'?"},
-         "notes": "direction-aware Pareto frontier over any metric "
-                  "pair, with per-point dominated counts"},
-        {"method": "GET", "path": "/warehouse/regressions",
-         "query": {"sweep": "diff one sweep? (default: every "
-                            "non-baseline sweep)",
-                   "tolerance": "relative worse-direction delta? "
-                                "(default 0.05)",
-                   "metrics": "comma-separated? "
-                              "(default cycles,energy,area)"},
-         "notes": "regression sentinel: configs matched by label are "
-                  "diffed against the pinned baseline sweep; 409 until "
-                  "one is pinned via POST /warehouse/baseline"},
-        {"method": "POST", "path": "/warehouse/baseline",
-         "body": {"sweepId": "ingested sweep to pin as the regression "
-                             "baseline"}},
-        {"method": "GET", "path": "/metrics",
-         "query": {"format": "'prometheus'? (HTTP layer; default JSON)"},
-         "notes": "process-wide telemetry scrape: counters, gauges, "
-                  "histograms with nearest-rank summaries"},
-        {"method": "GET", "path": "/trace/<sweepId>",
-         "notes": "one sweep's span tree (root sweep span, queueWait, "
-                  "per-job dispatch + worker compile/simulate/record), "
-                  "exportable as NDJSON via SimClient.trace"},
-        {"method": "GET", "path": "/schema"},
-        {"method": "GET", "path": "/health"},
-    ],
-}
-
-#: route label set for the request counter — unmatched paths collapse to
-#: "other" so a 404 scan cannot explode the label cardinality
-_COUNTED_ROUTES = frozenset((
-    "/", "/schema", "/health", "/compile", "/parseAsm", "/simulate",
-    "/session/new", "/session/step", "/session/state", "/session/seek",
-    "/session/memory", "/session/close", "/explore/submit",
-    "/explore/status", "/explore/result", "/explore/cancel",
-    "/explore/events", "/explore/stream", "/fleet/register",
-    "/fleet/status", "/worker/execute", "/worker/cancel",
-    "/worker/status", "/metrics", "/trace", "/artifact",
-    "/artifact/prefetch", "/warehouse/query", "/warehouse/pareto",
-    "/warehouse/regressions", "/warehouse/baseline",
-))
 
 _REQUESTS = default_registry().counter(
     "repro_requests_total", "API requests handled, by method and route")
@@ -383,105 +230,46 @@ class Api:
         self.explore.close()
 
     # ------------------------------------------------------------------
-    def handle(self, method: str, path: str, payload: Optional[dict]) -> dict:
+    def handle(self, method: str, path: str, payload: Optional[dict]):
+        """Serve one request through its :data:`ROUTES` entry.
+
+        *path* may carry a query string (transports pass it through);
+        its keys merge into *payload*, and body keys win over query
+        duplicates.  A suffix route's path parameter (``/trace/<sweepId>``)
+        lands in the payload under the parameter's name."""
+        path, _sep, query = path.partition("?")
+        method = method.upper()
+        route, arg = _match(method, path.rstrip("/"))
+        _REQUESTS.inc(method=method, route=route.path if route else "other")
+        if route is None:
+            raise ApiError(f"no such endpoint: {method} {path}", status=404)
         payload = payload or {}
-        path, _sep, query = path.partition("?")   # transports pass the query
-        route = (method.upper(), path.rstrip("/") or "/")
-        if query and route[1].startswith("/warehouse/"):
-            # the warehouse GETs take their filters on the query string;
-            # explicit JSON-body keys win over query duplicates
-            payload = dict(payload)
-            for key, values in parse_qs(query).items():
-                payload.setdefault(key, values[0])
-        counted = route[1]
-        if counted.startswith("/trace"):
-            counted = "/trace"
-        elif counted.startswith("/artifact") \
-                and counted != "/artifact/prefetch":
-            counted = "/artifact"
-        _REQUESTS.inc(method=route[0],
-                      route=counted if counted in _COUNTED_ROUTES
-                      else "other")
-        if route == ("GET", "/schema"):
-            return SCHEMA
-        if route == ("GET", "/metrics"):
-            return self.metrics_json()
-        if route == ("GET", "/trace"):
-            raise ApiError("trace requests name a sweep: "
-                           "GET /trace/<sweepId>", status=400)
-        if route[0] == "GET" and route[1].startswith("/trace/"):
-            return self.trace(route[1][len("/trace/"):])
-        if route == ("GET", "/artifact"):
-            raise ApiError("artifact requests name a key: "
-                           "GET /artifact/<key>", status=400)
-        if route == ("POST", "/artifact/prefetch"):
-            return self.artifact_prefetch(payload)
-        if route[0] == "GET" and route[1].startswith("/artifact/"):
-            return self.artifact(route[1][len("/artifact/"):])
-        if route == ("GET", "/health"):
-            return {"status": "ok", "sessions": len(self.sessions),
-                    "fleet": self.fleet.snapshot()}
-        if route == ("POST", "/compile"):
-            return self.compile(payload)
-        if route == ("POST", "/parseAsm"):
-            return self.parse_asm(payload)
-        if route == ("POST", "/simulate"):
-            return self.simulate(payload)
-        if route == ("POST", "/session/new"):
-            return self.session_new(payload)
-        if route == ("POST", "/session/step"):
-            return self.session_step(payload)
-        if route == ("POST", "/session/state"):
-            return self.session_state(payload)
-        if route == ("POST", "/session/seek"):
-            return self.session_seek(payload)
-        if route == ("POST", "/session/memory"):
-            return self.session_memory(payload)
-        if route == ("POST", "/session/close"):
-            return self.session_close(payload)
-        if route == ("POST", "/explore/submit"):
-            return self.explore_submit(payload)
-        if route == ("POST", "/explore/status"):
-            return self.explore_status(payload)
-        if route == ("POST", "/explore/result"):
-            return self.explore_result(payload)
-        if route == ("POST", "/explore/cancel"):
-            return self.explore_cancel(payload)
-        if route == ("POST", "/explore/events"):
-            return self.explore_events(payload)
-        if route in (("GET", "/explore/stream"), ("POST", "/explore/stream")):
-            raise ApiError("/explore/stream is a chunked NDJSON stream; "
-                           "use SimClient.explore_stream (or poll "
-                           "/explore/events)", status=400)
-        if route in (("GET", "/warehouse/query"),
-                     ("POST", "/warehouse/query")):
-            return self.warehouse_query(payload)
-        if route in (("GET", "/warehouse/pareto"),
-                     ("POST", "/warehouse/pareto")):
-            return self.warehouse_pareto(payload)
-        if route in (("GET", "/warehouse/regressions"),
-                     ("POST", "/warehouse/regressions")):
-            return self.warehouse_regressions(payload)
-        if route == ("POST", "/warehouse/baseline"):
-            return self.warehouse_baseline(payload)
-        if route == ("POST", "/fleet/register"):
-            return self.fleet_register(payload)
-        if route in (("GET", "/fleet/status"), ("POST", "/fleet/status")):
-            return self.fleet_status()
-        if route == ("POST", "/worker/execute"):
-            return self.worker_execute(payload)
-        if route == ("POST", "/worker/cancel"):
-            return self.worker_cancel(payload)
-        if route in (("GET", "/worker/status"), ("POST", "/worker/status")):
-            return self.worker_status()
-        raise ApiError(f"no such endpoint: {method} {path}", status=404)
+        if query:
+            payload = {**{key: values[0] for key, values
+                          in parse_qs(query).items()}, **payload}
+        if route.param:
+            if not arg:
+                raise ApiError(f"{route.path} requests name a {route.param}: "
+                               f"{method} {route.path}/<{route.param}>")
+            payload = {**payload, route.param: arg}
+        if route.stream and method != "GET":
+            raise ApiError(f"{route.path} is a chunked NDJSON stream; GET it "
+                           f"with a streaming client")
+        return route.handler(self, payload)
+
+    def health(self, _payload: dict) -> dict:
+        return {"status": "ok", "sessions": len(self.sessions),
+                "fleet": self.fleet.snapshot()}
+
+    def schema(self, _payload: dict) -> dict:
+        return SCHEMA
 
     # ------------------------------------------------------------------
     def compile(self, payload: dict) -> dict:
         code = payload.get("code")
         if not isinstance(code, str):
             raise ApiError("'code' (C source string) is required")
-        level = int(payload.get("optimizeLevel", 1))
+        level = self._parse_int(payload, "optimizeLevel", default=1)
         if not 0 <= level <= 3:
             raise ApiError("optimizeLevel must be 0..3")
         return compile_c(code, level,
@@ -511,12 +299,15 @@ class Api:
         if not isinstance(code, str):
             raise ApiError("'code' (assembly string) is required")
         config = _parse_config(payload)
+        max_cycles = payload.get("maxCycles")
+        if max_cycles is not None:
+            max_cycles = self._parse_int(payload, "maxCycles")
         from repro.sim.simulation import Simulation
         try:
             simulation = Simulation.from_source(
                 code, config=config, entry=payload.get("entry"),
                 memory_locations=_parse_memory_locations(payload))
-            result = simulation.run(payload.get("maxCycles"))
+            result = simulation.run(max_cycles)
         except SourceError as exc:
             return {"success": False, "errors": [exc.to_json()]}
         except ReproError as exc:
@@ -801,13 +592,17 @@ class Api:
         return {"success": True, "sweepId": state.id, "state": sweep_state,
                 "events": events, "nextSeq": from_seq + len(events)}
 
-    def explore_stream(self, sweep_id: str, from_seq: int = 0):
+    def explore_stream(self, payload: dict):
         """Live event generator behind ``GET /explore/stream`` (the HTTP
         layer writes each yielded event as one chunked NDJSON line).
-        Raises 404 before the first byte for an unknown sweep."""
-        if not sweep_id or self.explore.get(sweep_id) is None:
-            raise ApiError(f"unknown sweep '{sweep_id}'", status=404)
-        return self.explore.stream(sweep_id, from_seq=max(0, from_seq))
+        Raises before the first byte: 400 for a bad ``fromSeq``, 404 for
+        an unknown sweep."""
+        try:   # over GET it arrives as a query-string string
+            from_seq = int(payload.get("fromSeq", 0))
+        except (TypeError, ValueError):
+            raise ApiError("'fromSeq' must be an integer") from None
+        state = self._sweep(payload)
+        return self.explore.stream(state.id, from_seq=max(0, from_seq))
 
     # -- result warehouse (protocol v9) ---------------------------------
     @staticmethod
@@ -979,7 +774,7 @@ class Api:
         ack["protocolVersion"] = PROTOCOL_VERSION
         return ack
 
-    def fleet_status(self) -> dict:
+    def fleet_status(self, _payload: dict) -> dict:
         return {"success": True, "protocolVersion": PROTOCOL_VERSION,
                 "fleet": self.fleet.snapshot()}
 
@@ -1103,7 +898,7 @@ class Api:
                 "cancelled": hit}
 
     # -- artifact data plane (protocol v8) -------------------------------
-    def artifact(self, key: str) -> dict:
+    def artifact(self, payload: dict) -> dict:
         """``GET /artifact/<key>``: serve one content-addressed artifact.
 
         Answers out of this server's :class:`ArtifactCache` — compiled
@@ -1112,9 +907,7 @@ class Api:
         demand, single-flighted).  404 for keys no tier knows; workers
         negative-cache that answer, so a missing key costs each worker
         one fetch round, not one per job."""
-        if not key:
-            raise ApiError("artifact requests name a key: "
-                           "GET /artifact/<key>", status=400)
+        key = payload["key"]
         artifact = self.artifacts.serve_artifact(key)
         if artifact is None:
             raise ApiError(f"unknown artifact '{key}'", status=404)
@@ -1159,34 +952,30 @@ class Api:
         for row in snap["rows"]:
             _HEARTBEAT_AGE.set(row["lastHeartbeatAgeS"], url=row["url"])
 
-    def metrics_json(self) -> dict:
-        """``GET /metrics``: full registry scrape as JSON."""
+    def metrics(self, payload: dict):
+        """``GET /metrics``: full registry scrape — JSON, or the
+        Prometheus text exposition (a ``str``, served as ``text/plain``)
+        for ``?format=prometheus``."""
         self._set_gauges()
+        scrape = default_registry().scrape()
+        if payload.get("format") == "prometheus":
+            return render_prometheus(scrape)
         return {"success": True, "protocolVersion": PROTOCOL_VERSION,
-                "metrics": default_registry().scrape()}
+                "metrics": scrape}
 
-    def metrics_text(self) -> str:
-        """Prometheus text exposition (the HTTP layer serves this for
-        ``GET /metrics?format=prometheus`` with ``text/plain``)."""
-        self._set_gauges()
-        return render_prometheus(default_registry().scrape())
-
-    def trace(self, sweep_id: str) -> dict:
+    def trace(self, payload: dict) -> dict:
         """``GET /trace/<sweepId>``: one sweep's span tree.
 
         Served for queued/running sweeps too — the root and queueWait
         spans are synthesized at read time, so a mid-flight tree is
         already connected (it just grows more job spans on later polls).
         """
-        state = self.explore.get(sweep_id) if sweep_id else None
-        if state is None:
-            raise ApiError(f"unknown sweep '{sweep_id}'", status=404)
-        out = state.trace_json()
+        out = self._sweep(payload).trace_json()
         out["success"] = True
         out["protocolVersion"] = PROTOCOL_VERSION
         return out
 
-    def worker_status(self) -> dict:
+    def worker_status(self, _payload: dict) -> dict:
         """Worker health: artifact-cache hit/miss/size stats (memory and
         disk tiers, GC evictions) plus the in-flight cancellable-job
         gauge — one poll per fleet member keeps long-lived fleets
@@ -1197,15 +986,187 @@ class Api:
                 "cancelStride": self.cancel_stride}
 
 
-_default_api: Optional[Api] = None
+@dataclass(frozen=True)
+class Route:
+    """One served endpoint: one row of :data:`ROUTES`.
+
+    ``methods`` is a method or a tuple of them (the first is the one
+    ``/schema`` advertises).  ``param`` names a trailing path parameter
+    (``/trace/<sweepId>``), handed to the handler in the payload.
+    ``stream`` marks a chunked NDJSON reply: GET only, the handler returns
+    an event iterator.  ``body``/``query``/``notes`` are the ``/schema``
+    docs.  Every handler is called as ``handler(api, payload)``.
+    """
+
+    methods: Union[str, Tuple[str, ...]]
+    path: str
+    handler: Callable[[Api, dict], object]
+    param: Optional[str] = None
+    stream: bool = False
+    body: Optional[dict] = None
+    query: Optional[dict] = None
+    notes: Optional[str] = None
+
+    @property
+    def method_list(self) -> Tuple[str, ...]:
+        return (self.methods,) if isinstance(self.methods, str) \
+            else self.methods
+
+    def doc(self) -> dict:
+        out = {"method": self.method_list[0],
+               "path": self.path + (f"/<{self.param}>" if self.param
+                                    else "")}
+        out.update((key, getattr(self, key)) for key in
+                   ("body", "query", "notes") if getattr(self, key))
+        return out
 
 
-def handle_request(method: str, path: str, payload: Optional[dict],
-                   api: Optional[Api] = None) -> dict:
-    """Module-level convenience entry (shared default :class:`Api`)."""
-    global _default_api
-    if api is None:
-        if _default_api is None:
-            _default_api = Api()
-        api = _default_api
-    return api.handle(method, path, payload)
+#: the route set.  Dispatch (:meth:`Api.handle`), the request counter's
+#: route labels, ``GET /schema`` and the protocol lint rule (which reads
+#: this literal by AST: keep each entry a ``Route(method(s), path, ...)``
+#: call with those two arguments positional) all derive from it.
+ROUTES = (
+    Route("POST", "/compile", Api.compile,
+          body={"code": "C source", "optimizeLevel": "0..3"}),
+    Route("POST", "/parseAsm", Api.parse_asm, body={"code": "assembly"}),
+    Route("POST", "/simulate", Api.simulate,
+          body={"code": "assembly", "config": "architecture JSON or preset",
+                "entry": "label/address?", "memory": "[MemoryLocation]?",
+                "maxCycles": "int?", "fullState": "bool?"}),
+    Route("POST", "/session/new", Api.session_new,
+          body={"code": "assembly", "config": "...", "entry": "...",
+                "memory": "..."}),
+    Route("POST", "/session/step", Api.session_step,
+          body={"sessionId": "id",
+                "cycles": "non-zero int (negative = backward), "
+                          f"|cycles| <= {MAX_STEP_CYCLES}",
+                "delta": "bool | 'encoded'? (serve a delta against the "
+                         "last view; 'encoded' = pre-serialized)"}),
+    Route("POST", "/session/state", Api.session_state,
+          body={"sessionId": "id"}),
+    Route("POST", "/session/seek", Api.session_seek,
+          body={"sessionId": "id", "cycle": "int >= 0"}),
+    Route("POST", "/session/memory", Api.session_memory,
+          body={"sessionId": "id", "address": "int? (or 'symbol')",
+                "symbol": "label/array name?", "size": "bytes?",
+                "dtype": "word/float/... (typed values view)?",
+                "sinceVersion": "int? (unchanged check)"}),
+    Route("POST", "/session/close", Api.session_close,
+          body={"sessionId": "id"}),
+    Route("POST", "/explore/submit", Api.explore_submit,
+          body={"spec": "sweep spec JSON (see repro.explore.spec)",
+                "workers": "int? (0 = serial)",
+                "backend": "serial/process/fleet? (default inferred "
+                           "from workers; 'fleet' runs on registered "
+                           "fleet workers)",
+                "metric": "ranking metric? (default 'cycles')",
+                "jobTimeoutS": "number? per-job wall-clock budget",
+                "trace": "bool? (default true) collect the sweep's "
+                         "span tree for GET /trace/<sweepId>"}),
+    Route("POST", "/explore/status", Api.explore_status,
+          body={"sweepId": "id"}),
+    Route("POST", "/explore/result", Api.explore_result,
+          body={"sweepId": "id", "metric": "ranking metric?"}),
+    Route("POST", "/explore/cancel", Api.explore_cancel,
+          body={"sweepId": "id", "reason": "string?"}),
+    Route("POST", "/explore/events", Api.explore_events,
+          body={"sweepId": "id", "fromSeq": "int? (default 0)"}),
+    Route(("GET", "POST"), "/explore/stream", Api.explore_stream,
+          stream=True,
+          query={"sweepId": "id", "fromSeq": "int? (default 0)"},
+          notes="chunked NDJSON progress events, ends after the "
+                "terminal event (SimClient.explore_stream)"),
+    Route("POST", "/fleet/register", Api.fleet_register,
+          body={"url": "worker host:port (as reachable from this server)",
+                "capacity": "int? advertised parallel-job capacity",
+                "cache": "worker artifact-cache stats? "
+                         "(surfaced on fleet health rows)"}),
+    Route(("GET", "POST"), "/fleet/status", Api.fleet_status),
+    Route("POST", "/worker/execute", Api.worker_execute,
+          body={"payload": "one planned sweep-job payload "
+                           "(see repro.explore.plan); its 'program' "
+                           "may be an artifactRef instead of inline "
+                           "source",
+                "cancelId": "string? cooperative-cancel handle "
+                            "(fire it via /worker/cancel)"}),
+    Route("GET", "/artifact", Api.artifact, param="key",
+          notes="content-addressed artifact fetch (data plane): "
+                "compiled assembly, registered program specs, and "
+                "compile recipes served by SHA-256 key; 404 for "
+                "unknown keys (SimClient.artifact)"),
+    Route("POST", "/artifact/prefetch", Api.artifact_prefetch,
+          body={"artifacts": "[{sourceKey, compileKey?, fetchFrom}] "
+                             "references to warm in the background"}),
+    Route("POST", "/worker/cancel", Api.worker_cancel,
+          body={"cancelId": "id from the matching /worker/execute",
+                "reason": "string?"}),
+    Route(("GET", "POST"), "/worker/status", Api.worker_status),
+    Route(("GET", "POST"), "/warehouse/query", Api.warehouse_query,
+          query={"sweep": "sweep id or name?", "program": "program name?",
+                 "axes": "'axis=value,...'? (an object in a POST body)",
+                 "since": "ingest-time lower bound (epoch seconds)?",
+                 "until": "ingest-time upper bound?",
+                 "metrics": "comma-separated summary metrics?",
+                 "limit": "max rows returned?"},
+          notes="cross-run result warehouse: filtered records plus "
+                "min/p50/p90/max metric summaries (POST body works "
+                "identically)"),
+    Route(("GET", "POST"), "/warehouse/pareto", Api.warehouse_pareto,
+          query={"x": "metric? (default 'cycles')",
+                 "y": "metric? (default 'energy')",
+                 "sweep": "sweep id or name?", "program": "program?",
+                 "axes": "'axis=value,...'?"},
+          notes="direction-aware Pareto frontier over any metric "
+                "pair, with per-point dominated counts"),
+    Route(("GET", "POST"), "/warehouse/regressions",
+          Api.warehouse_regressions,
+          query={"sweep": "diff one sweep? (default: every "
+                          "non-baseline sweep)",
+                 "tolerance": "relative worse-direction delta? "
+                              "(default 0.05)",
+                 "metrics": "comma-separated? "
+                            "(default cycles,energy,area)"},
+          notes="regression sentinel: configs matched by label are "
+                "diffed against the pinned baseline sweep; 409 until "
+                "one is pinned via POST /warehouse/baseline"),
+    Route("POST", "/warehouse/baseline", Api.warehouse_baseline,
+          body={"sweepId": "ingested sweep to pin as the regression "
+                           "baseline"}),
+    Route("GET", "/metrics", Api.metrics,
+          query={"format": "'prometheus'? (HTTP layer; default JSON)"},
+          notes="process-wide telemetry scrape: counters, gauges, "
+                "histograms with nearest-rank summaries"),
+    Route("GET", "/trace", Api.trace, param="sweepId",
+          notes="one sweep's span tree (root sweep span, queueWait, "
+                "per-job dispatch + worker compile/simulate/record), "
+                "exportable as NDJSON via SimClient.trace"),
+    Route("GET", "/schema", Api.schema),
+    Route("GET", "/health", Api.health),
+)
+
+#: (method, path) -> route, the dispatch index over :data:`ROUTES`
+_TABLE: Dict[Tuple[str, str], Route] = {
+    (method, route.path): route
+    for route in ROUTES for method in route.method_list}
+
+SCHEMA = {
+    "protocolVersion": PROTOCOL_VERSION,
+    "snapshotSchema": SNAPSHOT_SCHEMA_VERSION,
+    "endpoints": [route.doc() for route in ROUTES],
+}
+
+
+def _match(method: str, path: str) -> Tuple[Optional[Route], str]:
+    """The route serving ``method path`` plus its path-parameter value:
+    an exact table hit, else a ``param`` route owning the first path
+    segment (``/trace/<sweepId>``); ``(None, "")`` when nothing serves
+    it."""
+    route = _TABLE.get((method, path))
+    if route is not None:
+        return route, ""
+    cut = path.find("/", 1)
+    if cut > 0:
+        route = _TABLE.get((method, path[:cut]))
+        if route is not None and route.param:
+            return route, path[cut + 1:]
+    return None, ""

@@ -10,15 +10,20 @@ PROTOCOL = """
     PROTOCOL_VERSION = %d
 
     class Api:
-        def handle(self, method, path, payload):
-            route = (method, path)
-            if route == ("POST", "/compile"):
-                return {}
-            if route in (("GET", "/health"), ("POST", "/health")):
-                return {}
-            %s
-            raise ValueError(route)
+        def compile(self, payload):
+            return {}
+
+        def health(self, payload):
+            return {}
+
+    ROUTES = (
+        Route("POST", "/compile", Api.compile, body={"code": "C source"}),
+        Route(("GET", "POST"), "/health", Api.health),
+        %s
+    )
 """
+
+SIMULATE_ROUTE = 'Route("POST", "/simulate", Api.compile),'
 
 CLIENT = """
     class SimClient:
@@ -42,7 +47,7 @@ TEST_REFS = """
 """
 
 
-def build(builder, version=3, extra_route="pass", extra_wrapper="",
+def build(builder, version=3, extra_route="", extra_wrapper="",
           tests=TEST_REFS):
     builder.write("server/protocol.py", PROTOCOL % (version, extra_route))
     builder.write("server/client.py", CLIENT % extra_wrapper)
@@ -57,9 +62,7 @@ def run_rule(builder, baseline=None):
 
 class TestPC001Wrappers:
     def test_route_without_wrapper_fires(self, builder):
-        build(builder, extra_route=(
-            'if route == ("POST", "/simulate"):\n'
-            '                return {}'))
+        build(builder, extra_route=SIMULATE_ROUTE)
         findings = rules_of(run_rule(builder), "PC001")
         assert len(findings) == 1
         assert "POST /simulate" in findings[0].message
@@ -72,8 +75,7 @@ class TestPC001Wrappers:
 class TestPC002TestCoverage:
     def test_untested_wrapper_fires(self, builder):
         build(builder,
-              extra_route=('if route == ("POST", "/simulate"):\n'
-                           '                return {}'),
+              extra_route=SIMULATE_ROUTE,
               extra_wrapper=(
                   '\n        def simulate(self, code):\n'
                   '            return self.request("POST", "/simulate", '
@@ -84,8 +86,7 @@ class TestPC002TestCoverage:
 
     def test_referenced_wrapper_is_clean(self, builder):
         build(builder,
-              extra_route=('if route == ("POST", "/simulate"):\n'
-                           '                return {}'),
+              extra_route=SIMULATE_ROUTE,
               extra_wrapper=(
                   '\n        def simulate(self, code):\n'
                   '            return self.request("POST", "/simulate", '
@@ -103,8 +104,7 @@ class TestPC003VersionPin:
 
     def test_route_change_without_bump_fires(self, builder):
         build(builder, version=3,
-              extra_route=('if route == ("POST", "/simulate"):\n'
-                           '                return {}'),
+              extra_route=SIMULATE_ROUTE,
               extra_wrapper=(
                   '\n        def simulate(self, code):\n'
                   '            return self.request("POST", "/simulate", '
@@ -120,8 +120,7 @@ class TestPC003VersionPin:
 
     def test_route_change_with_bump_is_clean(self, builder):
         build(builder, version=4,
-              extra_route=('if route == ("POST", "/simulate"):\n'
-                           '                return {}'),
+              extra_route=SIMULATE_ROUTE,
               extra_wrapper=(
                   '\n        def simulate(self, code):\n'
                   '            return self.request("POST", "/simulate", '
@@ -147,18 +146,30 @@ class TestExtraction:
         assert routes == ["GET /health", "POST /compile", "POST /health"]
 
     def test_extraction_ignores_non_dispatch_tuples(self, builder):
-        # a documentation table of tuples is not a Compare — not a route
+        # route-like tuples in documentation or comparisons, and Route
+        # calls outside the table, are not served routes
         builder.write("server/protocol.py", """
             PROTOCOL_VERSION = 1
             DOCS = [("POST", "/imaginary")]
+            SPARE = Route("POST", "/spare", None)
 
-            class Api:
-                def handle(self, method, path, payload):
-                    route = (method, path)
-                    if route == ("GET", "/health"):
-                        return {}
-                    raise ValueError(route)
+            def handle(method, path):
+                if (method, path) == ("GET", "/compared"):
+                    return {}
+                if (method, path) in (("POST", "/listed"),):
+                    return {}
+
+            ROUTES = (
+                Route("GET", "/health", None),
+            )
         """)
         builder.write("server/client.py", CLIENT % "")
         version, routes = extract_protocol(builder.load())
         assert routes == ["GET /health"]
+
+    def test_entry_lines_point_at_the_table_row(self, builder):
+        build(builder, extra_route=SIMULATE_ROUTE)
+        findings = rules_of(run_rule(builder), "PC001")
+        source = (builder.root / "src/repro/server/protocol.py").read_text()
+        line = source.splitlines()[findings[0].line - 1]
+        assert '"/simulate"' in line

@@ -3,6 +3,7 @@
 import gzip
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -62,6 +63,52 @@ class TestHttpBasics:
         except ApiError:
             pass
         assert client.health()["status"] == "ok"
+
+
+class TestHostileBodies:
+    """Body-level garbage gets a prompt 4xx with a JSON error and leaves
+    the server healthy (raw sockets: http.client would refuse to send
+    most of these)."""
+
+    @staticmethod
+    def raw_post(server, headers, body=b""):
+        sock = socket.create_connection(("127.0.0.1", server.port),
+                                        timeout=5)
+        try:
+            head = "".join(f"{name}: {value}\r\n"
+                           for name, value in headers.items())
+            sock.sendall(f"POST /compile HTTP/1.1\r\nHost: test\r\n"
+                         f"{head}\r\n".encode("ascii") + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            return response.status, json.loads(response.read())
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("headers,body", [
+        ({"Content-Length": "-1"}, b""),
+        ({"Content-Length": "abc"}, b""),
+        ({"Content-Length": "9", "Content-Encoding": "gzip"},
+         b"not gzip!"),
+        ({"Content-Length": "4"}, b"\xff\xfe{}"),
+        ({"Content-Length": "5"}, b"[1,2]"),
+    ], ids=["negative-length", "non-numeric-length", "bad-gzip",
+            "non-utf8", "non-object"])
+    def test_rejected_with_json_400(self, server, headers, body):
+        started = time.monotonic()
+        status, data = self.raw_post(server, headers, body)
+        assert status == 400
+        assert data["error"] and data["status"] == 400
+        assert time.monotonic() - started < 2.0
+
+    def test_server_healthy_afterwards(self, server, client):
+        for headers in ({"Content-Length": "-1"},
+                        {"Content-Length": "abc"}):
+            self.raw_post(server, headers)
+        assert client.health()["status"] == "ok"
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
 
 
 class TestGzip:

@@ -63,6 +63,13 @@ class TestCompile:
             api.handle("POST", "/compile", {"code": "int main(void){return 0;}",
                                             "optimizeLevel": 9})
 
+    @pytest.mark.parametrize("level", ["x", None, 1.5, True])
+    def test_non_integer_level_is_400(self, api, level):
+        with pytest.raises(ApiError) as info:
+            api.handle("POST", "/compile", {"code": "int main(void){return 0;}",
+                                            "optimizeLevel": level})
+        assert info.value.status == 400
+
 
 class TestParseAsm:
     def test_valid(self, api):
@@ -111,6 +118,22 @@ class TestSimulate:
     def test_asm_error_payload(self, api):
         out = api.handle("POST", "/simulate", {"code": "frob"})
         assert not out["success"]
+
+    @pytest.mark.parametrize("max_cycles", ["10", 2.5, True, [10]])
+    def test_non_integer_max_cycles_is_400(self, api, max_cycles):
+        with pytest.raises(ApiError) as info:
+            api.handle("POST", "/simulate",
+                       {"code": PROGRAM, "maxCycles": max_cycles})
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize("config", [5, ["wide"], True,
+                                        {"buffers": 5},
+                                        {"buffers": {"robSize": "x"}}])
+    def test_malformed_config_is_400(self, api, config):
+        with pytest.raises(ApiError) as info:
+            api.handle("POST", "/simulate", {"code": PROGRAM,
+                                             "config": config})
+        assert info.value.status == 400
 
 
 class TestSessions:
