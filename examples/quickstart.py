@@ -57,35 +57,34 @@ print(f"after seek(24): cycle={sim.cycle} "
 # 2b. how the trace tier works (the run-to-completion fast path)
 #
 # Uninstrumented runs (`sim.run()` with no observers, and the fast-forward
-# leg of far-forward `seek`s) execute through a *superblock trace tier*:
-#
-#   * at startup the static code is split into superblocks (straight-line
-#     runs with at most one terminating branch);
-#   * every interpreted fetch of a block head is counted, and a block that
-#     reaches the hot threshold (16 fetches; REPRO_TRACE_THRESHOLD
-#     overrides) is compiled into specialized Python fetch/dispatch/eval
-#     functions with the configuration's constants folded in;
-#   * anything the specialized code cannot decide locally — a structural
-#     stall, a mispredicted branch, a store into the code image — takes a
-#     *side exit* back to the interpreter, so behaviour is bit-identical
-#     by construction (pinned by the golden determinism suite).
+# leg of far-forward `seek`s) execute through the *trace tier*: one
+# Python function generated for the processor configuration, with every
+# pipeline stage inlined into a single loop body, the widths, buffer
+# sizes and unit latencies folded into literals, and the per-unit loops
+# unrolled.  It is compiled once per configuration and reused by every
+# CPU built from it.  It specializes on the configuration only, never on
+# the program, so stores into the code image need no special handling.
+# Rare events (a mispredict flush, a store drain, a decode redirect) call
+# the interpreter's own methods, so behaviour is bit-identical by
+# construction (pinned by the golden determinism suite and a
+# generated-program parity property).
 #
 # Stepped (instrumented) simulation is untouched.  Far-forward seeks run
 # uninstrumented to the last checkpoint boundary below the target, drop
 # the checkpoint there, and step only the tail interval —
 # `sim.last_fast_forward` reports the fast-forwarded share.  When
-# bisecting a timing bug you can rule the tier out by disabling it:
-# set the environment variable REPRO_TRACE=0, or `config.trace = False`.
+# bisecting a timing bug you can rule the tier out with
+# `config.trace = False`.
 #
-# `repro-sim run --verbosity 2` prints the tier's counters (superblocks
-# compiled, side exits, invalidations) after the checkpoint-ring line.
+# `repro-sim run --verbosity 2` names the tier that ran after the
+# checkpoint-ring line.
 # ---------------------------------------------------------------------------
 sim = Simulation.from_source(SOURCE, checkpoint_interval=16)
 sim.seek(90)             # far-forward: uninstrumented to cycle 80, step 10
-tier = sim.cpu._trace_tier
+engaged = sim.cpu._step_loop is not None
 print(f"\nseek(90): fast-forwarded {sim.last_fast_forward} cycles"
-      + (f", trace tier compiled {tier.stats['compiled']} superblock(s)"
-         if tier is not None else " (trace tier disabled)"))
+      + (" through the step loop" if engaged
+         else " (trace tier disabled)"))
 
 # ---------------------------------------------------------------------------
 # 3. compile C and watch the optimizer work
@@ -359,12 +358,12 @@ api.close()
 
 # Hot-loop profiling is opt-in and sampled: PipelineProfiler wraps the
 # six per-cycle stage methods of one Cpu *instance* (interpreter path),
-# timing every Nth call; ResidencyProfiler slices a trace-tier run into
-# chunks and reports when execution migrated into compiled superblocks.
+# timing every Nth call; ResidencyProfiler slices an uninstrumented run
+# into chunks and reports cycles/sec and the tier that served each one.
 from repro.obs.profile import PipelineProfiler
 
 sim = Simulation.from_source(SOURCE)
-sim.cpu._trace_wanted = False          # profile the interpreter path
+sim.cpu.config.trace = False           # profile the interpreter path
 with PipelineProfiler(sim.cpu, stride=16) as profiler:
     sim.run()
 report = profiler.report()

@@ -10,10 +10,10 @@ output, no environment reads outside the documented ``REPRO_*`` knobs.
 
 Scope: ``explore/runner.py`` (the job executor), everything transitively
 imported by it (the whole simulator core a job can reach), plus
-``explore/engine.py``, ``sim/statistics.py`` and the superblock trace
-tier (``core/trace.py`` / ``core/tracegen.py`` -- generated code must be
-bit-exact with the interpreter, so the generator is held to the same
-standard) explicitly.
+``explore/engine.py``, ``sim/statistics.py`` and the trace tier's step
+loop generator (``core/tracegen.py`` -- generated code must be bit-exact
+with the interpreter, so the generator is held to the same standard)
+explicitly.
 
 Rules:
 
@@ -47,7 +47,7 @@ ENTRY_MODULE = "repro.explore.runner"
 #: the trace tier generates the record-producing hot loop, so the
 #: generator itself is held to determinism discipline
 EXPLICIT_MODULES = ("repro.explore.engine", "repro.sim.statistics",
-                    "repro.core.trace", "repro.core.tracegen")
+                    "repro.core.tracegen")
 
 ENV_PREFIX = "REPRO_"
 

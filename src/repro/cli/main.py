@@ -773,12 +773,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"checkpoint ring   : {len(ring)} checkpoints, "
                   f"{ring.bytes_retained() / 1024.0:.1f} KiB retained "
                   f"(shared pages counted once)", file=out)
-            tier = simulation.cpu._trace_tier
-            if tier is not None:
-                t = tier.stats
-                print(f"trace tier        : {t['compiled']}/{t['blocks']} "
-                      f"superblocks compiled, {t['sideExits']} side exits, "
-                      f"{t['invalidations']} invalidations", file=out)
+            tier = ("config-specialized step loop"
+                    if simulation.cpu._step_loop is not None
+                    else "interpreter")
+            print(f"trace tier        : {tier}", file=out)
         dump = _parse_dump(args.dump)
         if dump is not None:
             print("memory dump:", file=out)

@@ -229,9 +229,9 @@ class CpuConfig:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     max_cycles: int = 1_000_000
     halt_on_exception: bool = True
-    #: superblock trace tier (repro.core.trace) for uninstrumented runs;
-    #: bit-exact vs the interpreter — disable when bisecting whether a
-    #: result depends on the execution tier (env override: REPRO_TRACE=0)
+    #: run uninstrumented simulations through the config-specialized step
+    #: loop (repro.core.tracegen); bit-exact vs the interpreter — disable
+    #: when bisecting whether a result depends on the execution tier
     trace: bool = True
 
     # ------------------------------------------------------------------

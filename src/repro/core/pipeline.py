@@ -246,13 +246,12 @@ class Cpu:
         self.fetch_stall_until = -1
         self.fetch_past_end = False
 
-        # -- superblock trace tier (repro.core.trace) ----------------------
+        # -- trace tier (repro.core.tracegen) -----------------------------
         #: tri-state gate: None = not yet resolved, False = disabled for
-        #: this CPU (config/env/unsupported), True = tier engaged
+        #: this CPU (config/unsupported), True = step loop engaged
         self._trace_wanted: Optional[bool] = None
-        self._trace_tier = None
-        #: first byte past the code region (self-modifying-store guard)
-        self._code_limit = program.code_size_bytes
+        #: the config-specialized step loop, None while the interpreter runs
+        self._step_loop = None
 
         # -- bookkeeping ---------------------------------------------------
         self.cycle = 0
@@ -364,23 +363,22 @@ class Cpu:
 
         Equivalent to calling :meth:`step` in a loop; exists so that
         run-to-completion simulations (no observers, no snapshots) avoid
-        per-cycle bookkeeping in callers.  When the superblock trace tier
-        is enabled (``CpuConfig.trace`` / ``REPRO_TRACE``) the loop runs
-        through its configuration-specialized step function instead —
-        bit-exact, pinned by the golden determinism suite.  A commit hook
-        (the debugger's probe) forces the interpreter path."""
+        per-cycle bookkeeping in callers.  When the trace tier is enabled
+        (``CpuConfig.trace``) the loop runs through the configuration-
+        specialized step function instead — bit-exact, pinned by the
+        golden determinism suite.  A commit hook (the debugger's probe)
+        forces the interpreter path."""
         if self._trace_wanted is not False and self.commit_hook is None:
-            tier = self._trace_tier
-            if tier is None:
-                from repro.core.trace import (TraceTier, trace_enabled,
-                                              trace_supported)
-                if trace_enabled(self.config) and trace_supported(self):
-                    tier = self._trace_tier = TraceTier(self)
+            loop = self._step_loop
+            if loop is None:
+                from repro.core.tracegen import compile_step, trace_supported
+                if self.config.trace and trace_supported(self):
+                    loop = self._step_loop = compile_step(self)
                     self._trace_wanted = True
                 else:
                     self._trace_wanted = False
-            if tier is not None:
-                tier.run(budget)
+            if loop is not None:
+                loop(self, budget)
                 return
         step = self.step
         while self.halted is None and self.cycle < budget:
@@ -630,12 +628,6 @@ class Cpu:
         entry.drain_until = self.cycle + max(1, delay)
         simcode.sver += 1
         self.v_storeb += 1
-        # self-modifying store: compiled superblocks are stale the moment
-        # the (notional) code region is architecturally written
-        if self._trace_tier is not None and entry.address is not None \
-                and entry.address < self._code_limit:
-            self._trace_tier.on_code_write(entry.address,
-                                           len(entry.data or b""))
 
     # ==================================================================
     # execute: functional units (sub-step 1 of Sec. III-A)

@@ -1,36 +1,24 @@
-"""Code generation for the superblock trace tier (see ``repro.core.trace``).
+"""The trace tier: a config-specialized step loop for uninstrumented runs.
 
-Two generators live here, both emitting plain Python source that is
-``exec``-compiled once and then called millions of times:
+``compile_step(cpu)`` emits plain Python source for one function that
+replaces ``Cpu.run``'s ``step()``-per-cycle interpretation; it is
+``exec``-compiled once per configuration signature and then called for
+every run-to-completion on that configuration.  Every pipeline stage
+(commit, memory, execute, issue, dispatch, fetch, busy accounting, end
+detection) is inlined into a single loop body with the configuration
+constants (widths, buffer sizes, unit latencies, cycle limit) folded
+into literals and the per-unit loops unrolled.  The emitted code is a
+line-by-line transcription of ``repro.core.pipeline.Cpu.step`` —
+bit-exactness is by construction, and the golden determinism suite and
+the generated-program parity property pin it.  Rare control transfers
+(mispredict flush, store drain, load resolution, decode redirect)
+side-exit into the existing interpreter methods.
 
-``compile_step(cpu)``
-    The *config-specialized run loop*: one function replacing
-    ``Cpu.run``'s ``step()``-per-cycle interpretation.  Every pipeline
-    stage (commit, memory, execute, issue, dispatch, fetch, busy
-    accounting, end detection) is inlined into a single loop body with
-    the configuration constants (widths, buffer sizes, unit latencies,
-    cycle limit) folded into literals and the per-unit loops unrolled.
-    The emitted code is a line-by-line transcription of
-    ``repro.core.pipeline.Cpu.step`` — bit-exactness is by construction,
-    and the golden determinism suite pins it.  Rare control transfers
-    (mispredict flush, store drain, load resolution, decode redirect)
-    side-exit into the existing interpreter methods.
-
-``compile_block(cpu, tier, block)``
-    Per-superblock specialization: for a hot straight-line block the
-    tier installs
-
-    * a *fetch stub* per in-block pc — fetches the remaining run of the
-      block in one call (decoded ops fused, ids assigned in bulk, the
-      terminating branch's prediction inlined),
-    * a *dispatch stub* per in-block offset — a fused run that
-      dispatches up to a dispatch-width's worth of consecutive block ops
-      in one call, capacity guards tracked in locals, operand renaming
-      and wake-up registration unrolled with the operand names as
-      literals, version-counter flushes constant-folded per exit,
-    * an *eval stub* per op — the ``_evaluate`` dispatch ladder folded
-      down to the op's own kind (load address, store encode, branch
-      target/taken, FX/FP destination scan).
+The loop specializes on the configuration only, never on the program:
+instructions come from the static decode cache (the machine is
+Harvard-style), so a store into the notional code region changes data
+memory exactly as it does in the interpreter and nothing compiled can
+go stale.  The whole tier is disabled with ``CpuConfig.trace = False``.
 
 Identity-stability rules for what generated code may hoist into locals:
 
@@ -40,11 +28,12 @@ Identity-stability rules for what generated code may hoist into locals:
   ``predictor``, FU runtime objects, ``windows`` dict, ``decoded``.
 * Rebound during a run (attribute access required everywhere):
   ``cpu.store_buffer``, ``cpu._store_by_id`` (rebuilt by squash/drain),
-  ``rename._free`` (rebuilt by flush).
-* Rebound by ``restore_state`` (safe to hoist per run-loop call, never
-  inside persistent block stubs): ``cpu._tag_waiters``, ``rename.rat``,
-  ``cpu.log``, ``cpu.dispatch_stalls``, ``committed_by_type`` /
-  ``committed_by_mnemonic``.
+  ``rename._free`` (rebuilt by flush), ``predictor._spec_local``
+  (rebound by ``on_flush``).
+* Rebound by ``restore_state`` between runs (hoisted once per call):
+  ``cpu._tag_waiters``, ``rename.rat``, ``cpu.log``,
+  ``cpu.dispatch_stalls``, ``committed_by_type`` /
+  ``committed_by_mnemonic``, the predictor's PHT and BTB arrays.
 
 Determinism: sources are cached by a JSON signature of the relevant
 configuration (never by object identity), generated code iterates no
@@ -55,17 +44,16 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
-from repro.core.decoded import SRC_REG, DecodedOp
 from repro.core.pipeline import StoreBufferEntry, _simcode_id
 from repro.core.simcode import SimCode
 from repro.errors import SimulationException
 from repro.isa.bits import float32_round
 from repro.predictor.bits import make_bit_predictor
 
-#: compiled step-loop code objects keyed by the config signature
-_STEP_CACHE: Dict[str, object] = {}
+#: compiled step loops keyed by the config signature
+_STEP_CACHE: Dict[str, Callable] = {}
 
 #: canonical register name -> file index, pre-resolved so the generated
 #: commit path never re-parses the index from the name string
@@ -73,9 +61,15 @@ _REG_INT: Dict[str, int] = {f"x{i}": i for i in range(32)}
 _FP_IDX: Dict[str, int] = {f"f{i}": i for i in range(32)}
 
 
-# ======================================================================
-# config-specialized run loop
-# ======================================================================
+def trace_supported(cpu) -> bool:
+    """Whether the specialized step loop models this configuration.
+
+    Pipelined functional units (the ``FuSpec.pipelined`` future-work mode)
+    take the interpreter path; everything else is supported.
+    """
+    return not any(fu.pipelined for fu in cpu._all_fus)
+
+
 def step_key(cpu) -> str:
     """Deterministic cache key: everything the emitted source folds in."""
     config = cpu.config
@@ -97,39 +91,24 @@ def step_key(cpu) -> str:
     }, sort_keys=True)
 
 
-def _predict_expr(ptype: str) -> str:
-    """Direction read of one PHT entry, by configured counter kind."""
-    return ("entry.state >= 2" if ptype.lower() in ("two", "2bit")
-            else "entry.state == 1")
+def _predict_lines(config, indent: str) -> List[str]:
+    """Inline transcription of ``BranchPredictor.predict_indexed`` for
+    the fetch path (``pc``/``dop`` name the fetched branch); leaves the
+    ``taken``/``target``/``pht_index`` locals set.
 
-
-def _predict_lines(config, indent: str, pc_expr: str,
-                   uncond_expr: str) -> List[str]:
-    """Inline transcription of ``BranchPredictor.predict_indexed``.
-
-    Emits code leaving ``taken``/``target``/``pht_index`` locals set.
-    *pc_expr* may be a literal (fetch stubs fold the whole BTB/PHT index
-    arithmetic into constants) or a variable name; *uncond_expr* likewise
-    is ``True``/``False`` for stubs or a runtime attribute read for the
-    skeleton's generic fetch path.
-
-    Identity rules: ``predictor._spec_local`` is rebound mid-run by
-    ``on_flush`` so it is read through the attribute at every use;
-    ``_pht`` and the BTB arrays are rebound only by between-run restores
-    (per-call reads here, hoistable in the skeleton prologue).
+    ``predictor._spec_local`` is rebound mid-run by ``on_flush``, so it
+    is read through the attribute at every use; ``_pht`` and the BTB
+    arrays are hoisted in the prologue.
     """
     p = config.predictor
-    if pc_expr.isdigit():
-        pcw = str(int(pc_expr) >> 2)
-        bidx = str((int(pc_expr) >> 2) % p.btb_size)
-    else:
-        pcw = f"({pc_expr} >> 2)"
-        bidx = f"({pc_expr} >> 2) % {p.btb_size}"
     hmask = (1 << p.history_bits) - 1
+    direction = ("entry.state >= 2"
+                 if p.predictor_type.lower() in ("two", "2bit")
+                 else "entry.state == 1")
     lines = [
         f"{indent}btb.lookups += 1",
-        f"{indent}bi = {bidx}",
-        f"{indent}if btb._tags[bi] == {pc_expr}:",
+        f"{indent}bi = (pc >> 2) % {p.btb_size}",
+        f"{indent}if btb._tags[bi] == pc:",
         f"{indent}    btb.hits += 1",
         f"{indent}    target = btb._targets[bi]",
         f"{indent}else:",
@@ -140,32 +119,26 @@ def _predict_lines(config, indent: str, pc_expr: str,
     else:
         lines += [
             f"{indent}sl = predictor._spec_local",
-            f"{indent}h = sl.get({pc_expr}, 0)",
+            f"{indent}h = sl.get(pc, 0)",
         ]
-    lines.append(f"{indent}pht_index = ({pcw} ^ h) % {p.pht_size}")
-    taken = [
-        f"{indent}entry = pht[pht_index]",
-        f"{indent}if entry is None:",
-        f"{indent}    entry = PredCls({p.default_state})",
-        f"{indent}    pht[pht_index] = entry",
-        f"{indent}taken = {_predict_expr(p.predictor_type)}",
-        f"{indent}pbit = 1 if taken else 0",
+    lines += [
+        f"{indent}pht_index = ((pc >> 2) ^ h) % {p.pht_size}",
+        f"{indent}if dop.is_unconditional:",
+        f"{indent}    taken = True",
+        f"{indent}    pbit = 1",
+        f"{indent}else:",
+        f"{indent}    entry = pht[pht_index]",
+        f"{indent}    if entry is None:",
+        f"{indent}        entry = PredCls({p.default_state})",
+        f"{indent}        pht[pht_index] = entry",
+        f"{indent}    taken = {direction}",
+        f"{indent}    pbit = 1 if taken else 0",
     ]
-    if uncond_expr == "True":
-        lines += [f"{indent}taken = True", f"{indent}pbit = 1"]
-    elif uncond_expr == "False":
-        lines += taken
-    else:
-        lines.append(f"{indent}if {uncond_expr}:")
-        lines += [f"{indent}    taken = True", f"{indent}    pbit = 1"]
-        lines.append(f"{indent}else:")
-        lines += [line.replace(indent, indent + "    ", 1)
-                  for line in taken]
     if p.use_global_history:
         lines.append(f"{indent}predictor._spec_global = "
                      f"((h << 1) | pbit) & {hmask}")
     else:
-        lines.append(f"{indent}sl[{pc_expr}] = ((h << 1) | pbit) & {hmask}")
+        lines.append(f"{indent}sl[pc] = ((h << 1) | pbit) & {hmask}")
     return lines
 
 
@@ -340,7 +313,6 @@ def _emit_commit(config) -> List[str]:
         "                else:",
         "                    predictor.mispredictions += 1",
         "                    cpu._flush_after_mispredict(head)",
-        "                    t_stats['sideExits'] += 1",
         "                    break",
         "        if nc:",
         "            cpu.v_rob += nc",
@@ -491,11 +463,10 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
         f"                for sc in {w}:",
         "                    if sc.pending_tags:",
         "                        continue",
-        "                    dop = sc.dop",
     ]
     if first.ops_set is not None:
         lines += [
-            "                    op_class = dop.op_class",
+            "                    op_class = sc.dop.op_class",
             f"                    if op_class not in ops_{kind}:",
             "                        continue",
         ]
@@ -524,11 +495,8 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
         "                    unit.busy_until = finish",
         "                    sc.finish_cycle = finish",
         "                    sc.sver += 1",
-        "                    ev = eval_stubs[dop.index]",
-        "                    if ev is None:",
-        "                        ev = evaluate",
         "                    try:",
-        "                        ev(sc)",
+        "                        evaluate(sc)",
         "                    except SimulationException as exc:",
         "                        sc.exception = exc",
         f"                    if {all_busy}:",
@@ -568,8 +536,7 @@ def _emit_issue(cpu) -> List[str]:
             f"                for sc in {w}:",
             "                    if sc.pending_tags:",
             "                        continue",
-            "                    dop = sc.dop",
-            "                    op_class = dop.op_class",
+            "                    op_class = sc.dop.op_class",
             "                    unit = None",
             "                    for fu in free:",
             "                        ops = fu.ops_set",
@@ -596,11 +563,8 @@ def _emit_issue(cpu) -> List[str]:
             "                    cpu.v_rob += 1",
             "                    sc.finish_cycle = finish",
             "                    sc.sver += 1",
-            "                    ev = eval_stubs[dop.index]",
-            "                    if ev is None:",
-            "                        ev = evaluate",
             "                    try:",
-            "                        ev(sc)",
+            "                        evaluate(sc)",
             "                    except SimulationException as exc:",
             "                        sc.exception = exc",
             "                    if not free:",
@@ -616,32 +580,11 @@ def _emit_issue(cpu) -> List[str]:
 def _emit_dispatch(config) -> List[str]:
     buffers = config.buffers
     return [
-        # dispatch stubs are fused *runs*: one call dispatches up to
-        # `left` consecutive block ops and reports tag-allocation count,
-        # dispatch count and exit code packed as (ntag << 8) | (n << 2)
-        # | code (0 ok, 1 stall, 2 redirect stop); the version bumps for
-        # the whole run land here, in the driver's local accumulators
-        f"        left = {buffers.fetch_width}",
-        "        while left:",
+        f"        for _ in range({buffers.fetch_width}):",
         "            if not fetch_buffer:",
         "                break",
         "            sc = fetch_buffer[0]",
         "            dop = sc.dop",
-        "            dstub = dispatch_stubs[dop.index]",
-        "            if dstub is not None:",
-        "                r = dstub(cpu, sc, cycle, left)",
-        "                k = (r >> 2) & 63",
-        "                left -= k",
-        "                cpu.v_front += k",
-        "                cpu.v_rob += k",
-        "                cpu.v_windows += k",
-        "                rename.version += r >> 8",
-        "                r &= 3",
-        "                if r == 0:",
-        "                    continue",
-        "                if r == 1:",
-        "                    t_stats['sideExits'] += 1",
-        "                break",
         "            err = dispatch_error[dop.index]",
         "            if err is not None:",
         "                cpu.halted = err",
@@ -710,7 +653,6 @@ def _emit_dispatch(config) -> List[str]:
         "            if dop.is_branch:",
         "                if cpu._decode_redirect(sc):",
         "                    break",
-        "            left -= 1",
     ]
 
 
@@ -722,40 +664,22 @@ def _emit_fetch(config) -> List[str]:
         "            cpu.fetch_stall_cycles += 1",
         "        elif not cpu.fetch_past_end:",
         "            jumps = 0",
-        f"            nfetch = {buffers.fetch_width}",
-        "            while nfetch > 0:",
-        f"                room = {capacity} - len(fetch_buffer)",
-        "                if room <= 0:",
+        f"            for _ in range({buffers.fetch_width}):",
+        f"                if len(fetch_buffer) >= {capacity}:",
         "                    break",
         "                pc = cpu.pc",
-        "                stub = stub_for(pc)",
-        "                if stub is not None:",
-        "                    n, jumped = stub(",
-        "                        cpu, cycle,",
-        "                        nfetch if nfetch < room else room)",
-        "                    nfetch -= n",
-        "                    cpu.v_front += n",
-        "                    if jumped:",
-        "                        jumps += 1",
-        f"                        if jumps >= {buffers.fetch_branch_limit}:",
-        "                            break",
-        "                    continue",
         "                index = pc >> 2",
         "                if pc & 3 or index < 0 or index >= instr_count:",
         "                    cpu.fetch_past_end = True",
         "                    break",
-        "                if pc in cold_heads:",
-        "                    note(pc)",
         "                dop = decoded[index]",
         "                sc = SimCode(cpu.next_id, dop.instruction, dop)",
         "                cpu.next_id += 1",
         "                sc.timestamps['fetch'] = cycle",
         "                fetch_buffer.append(sc)",
         "                cpu.v_front += 1",
-        "                nfetch -= 1",
         "                if dop.is_branch:",
-        *_predict_lines(config, "                    ", "pc",
-                        "dop.is_unconditional"),
+        *_predict_lines(config, "                    "),
         "                    sc.pht_index = pht_index",
         "                    if taken and target is not None:",
         "                        sc.predicted_taken = True",
@@ -832,8 +756,8 @@ def build_step_source(cpu) -> str:
     hoists += [
         "    rename = cpu.rename",
         "    entries = rename.entries",
-        # rat is rebound by restore_state: per-call hoist only (never in
-        # persistent block stubs' closures); likewise the register files
+        # rat and the register files are rebound by restore_state: safe
+        # to hoist once per call, never across calls
         "    rat = rename.rat",
         "    arch_regs = rename.arch",
         "    arch_int = arch_regs._int",
@@ -854,14 +778,7 @@ def build_step_source(cpu) -> str:
         "    by_type = cpu.committed_by_type",
         "    by_mnemonic = cpu.committed_by_mnemonic",
         "    stalls = cpu.dispatch_stalls",
-        "    fetch_stubs = tier.fetch_stubs",
-        "    stub_for = fetch_stubs.get",
         "    int_index = reg_int.get",
-        "    cold_heads = tier.cold_heads",
-        "    note = tier.note_block",
-        "    dispatch_stubs = tier.dispatch_stubs",
-        "    eval_stubs = tier.eval_stubs",
-        "    t_stats = tier.stats",
     ]
     if not cpu.config.predictor.use_global_history:
         hoists.append("    commit_local = predictor._commit_local")
@@ -896,10 +813,11 @@ def build_step_source(cpu) -> str:
 
     # Version counters are monotonic change detectors read only *between*
     # runs (Cpu.state_versions): inside the loop they can accumulate in
-    # plain locals and flush additively on exit.  Block stubs keep direct
-    # `cpu.v_* += k` bumps — additive flush composes with them in any
-    # order.  The try/finally keeps counters honest even if a run dies
-    # mid-cycle (and costs nothing on the happy path in CPython 3.11).
+    # plain locals and flush additively on exit.  The interpreter methods
+    # the loop side-exits into keep direct `cpu.v_* += k` bumps — additive
+    # flush composes with them in any order.  The try/finally keeps
+    # counters honest even if a run dies mid-cycle (and costs nothing on
+    # the happy path in CPython 3.11).
     subs = list(_VERSION_LOCALS)
     subs += [(f"u{i}.busy_cycles", f"nb_u{i}")
              for i in range(len(cpu.fus))]
@@ -933,7 +851,7 @@ def build_step_source(cpu) -> str:
         "        cpu.committed += committed",
     ] + [f"        {attr} += {local}" for attr, local in subs])
 
-    return ("def trace_step_loop(cpu, tier, budget):\n"
+    return ("def step_loop(cpu, budget):\n"
             + "\n".join(hoists) + "\n"
             + init + "\n"
             + "    try:\n"
@@ -943,489 +861,26 @@ def build_step_source(cpu) -> str:
 
 
 def compile_step(cpu) -> Callable:
-    """Compiled specialized run loop, cached per configuration signature."""
+    """The specialized run loop ``step_loop(cpu, budget)`` for *cpu*'s
+    configuration, compiled once per configuration signature (it reads
+    every per-``Cpu`` structure through its ``cpu`` argument)."""
     key = step_key(cpu)
-    code = _STEP_CACHE.get(key)
-    if code is None:
-        source = build_step_source(cpu)
-        code = compile(source, f"<trace-step {cpu.config.name}>", "exec")
-        _STEP_CACHE[key] = code
-    p = cpu.config.predictor
-    ns = {
-        "SimCode": SimCode,
-        "StoreBufferEntry": StoreBufferEntry,
-        "insort": insort,
-        "_skey": _simcode_id,
-        "SimulationException": SimulationException,
-        "reg_int": _REG_INT,
-        "fp_idx": _FP_IDX,
-        "f32r": float32_round,
-        "PredCls": type(make_bit_predictor(p.predictor_type,
-                                           p.default_state)),
-    }
-    exec(code, ns)
-    return ns["trace_step_loop"]
-
-
-# ======================================================================
-# per-superblock stubs
-# ======================================================================
-
-#: instance attributes the inline constructor sets from per-op data
-_SC_SPECIAL = ("id", "instruction", "dop", "pc", "timestamps")
-#: default-value source text for every other instance attribute
-#: ``SimCode.__init__`` stores (immutable defaults live on the class
-#: and need no per-instance store at all)
-_SC_DEFAULTS: Dict[str, str] = {
-    "renamed_sources": "{}", "operands": "{}", "op_values": "{}",
-    "pending_tags": "{}", "assignments": "[]",
-}
-
-
-def _simcode_init_lines(indent: str, id_expr: str, dop: DecodedOp):
-    """Inline transcription of ``SimCode.__init__`` (timestamps seeded
-    with the fetch stamp).  A probe construction guards against drift:
-    if ``__init__`` grows an instance attribute this table does not know
-    the default source text for, return None and the caller falls back
-    to the real constructor."""
-    probe = vars(SimCode(0, dop.instruction, dop))
-    for attr in probe:
-        if attr not in _SC_SPECIAL and attr not in _SC_DEFAULTS:
-            return None
-    lines = [
-        f"{indent}sc = SC_new(SimCode)",
-        f"{indent}sc.id = {id_expr}",
-        f"{indent}sc.instruction = I_{dop.index}",
-        f"{indent}sc.dop = D_{dop.index}",
-        f"{indent}sc.pc = {dop.pc}",
-        f"{indent}sc.timestamps = {{'fetch': cycle}}",
-    ]
-    for attr in probe:
-        if attr not in _SC_SPECIAL:
-            lines.append(f"{indent}sc.{attr} = {_SC_DEFAULTS[attr]}")
-    return lines
-
-
-def _emit_fetch_stub(ops: List[DecodedOp], offset: int,
-                     ns: Dict[str, object], config) -> str:
-    """Fetch stub for the block suffix starting at ``ops[offset]``.
-
-    Fetches up to ``limit`` of the remaining ops in one call, returns
-    ``(n_fetched, jumped)``.  Truncation (limit smaller than the suffix)
-    is always sound: the stub leaves ``cpu.pc`` at the next un-fetched
-    instruction and the outer loop resumes there.  The ``v_front`` bump
-    for the fetched count is applied by the skeleton driver from the
-    returned count, not here.
-    """
-    run = ops[offset:]
-    count = len(run)
-    head = run[0]
-    name = f"_fetch_{head.pc:x}"
-    last = run[-1]
-    has_branch = last.is_branch
-    straight = count - 1 if has_branch else count
-    lines = [f"def {name}(cpu, cycle, limit):",
-             "    nid = cpu.next_id",
-             f"    n = limit if limit < {count} else {count}"]
-    if has_branch:
-        # the predictor's PHT/BTB arrays are rebound by between-run
-        # restores: resolve them per call, never in the stub's namespace
-        lines += ["    btb = predictor.btb",
-                  "    pht = predictor._pht"]
-    for k in range(straight):
-        dop = run[k]
-        ns[f"D_{dop.index}"] = dop
-        ns[f"I_{dop.index}"] = dop.instruction
-        indent = "    "
-        if k:
-            lines.append(f"    if n > {k}:")
-            indent = "        "
-        init = _simcode_init_lines(indent, f"nid + {k}", dop)
-        if init is None:
-            init = [
-                f"{indent}sc = SimCode(nid + {k}, "
-                f"I_{dop.index}, D_{dop.index})",
-                f"{indent}sc.timestamps['fetch'] = cycle",
-            ]
-        lines += init
-        lines.append(f"{indent}fetch_buffer.append(sc)")
-    if has_branch:
-        dop = last
-        ns[f"D_{dop.index}"] = dop
-        ns[f"I_{dop.index}"] = dop.instruction
-        k = count - 1
-        indent = "    "
-        if k:
-            lines.append(f"    if n > {k}:")
-            indent = "        "
-        init = _simcode_init_lines(indent, f"nid + {k}", dop)
-        if init is None:
-            init = [
-                f"{indent}sc = SimCode(nid + {k}, "
-                f"I_{dop.index}, D_{dop.index})",
-                f"{indent}sc.timestamps['fetch'] = cycle",
-            ]
-        lines += init
-        lines += [
-            f"{indent}fetch_buffer.append(sc)",
-            f"{indent}cpu.next_id = nid + {count}",
-            *_predict_lines(config, indent, str(dop.pc),
-                            "True" if dop.is_unconditional else "False"),
-            f"{indent}sc.pht_index = pht_index",
-            f"{indent}if taken and target is not None:",
-            f"{indent}    sc.predicted_taken = True",
-            f"{indent}    sc.predicted_target = target",
-            f"{indent}    cpu.pc = target",
-            f"{indent}    return n, True",
-            f"{indent}sc.predicted_taken = False",
-            f"{indent}sc.predicted_target = None",
-            f"{indent}cpu.pc = {dop.pc + 4}",
-            f"{indent}return n, False",
-        ]
-    lines += [
-        "    cpu.next_id = nid + n",
-        f"    cpu.pc = {head.pc} + (n << 2)",
-        "    return n, False",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _run_exit(k: int, ntag: int, code: int) -> List[str]:
-    """Exit sequence for a dispatch run: return the dispatch count, tag
-    allocation count and exit code packed as ``(ntag << 8) | (k << 2) |
-    code`` — all literals, the counts at every exit point are static.
-    The *skeleton driver* applies the version bumps from the packed
-    counts, into its loop-local accumulators."""
-    return [f"return {(ntag << 8) | (k << 2) | code}"]
-
-
-def _emit_dispatch_run(run: List[DecodedOp], config,
-                       ns: Dict[str, object]) -> str:
-    """Fused dispatch stub: one call dispatches the whole op *run*.
-
-    Replaces one call + guard preamble per op with a single straight-line
-    function — capacity counters live in locals incremented as the run
-    dispatches, every exit's version-counter flush is constant-folded
-    (the dispatch count at each exit point is known statically), and the
-    architectural register reads are direct list indexing.
-
-    Runs never span a block boundary or an op the configuration cannot
-    execute, and only the final op may be a branch (superblock property),
-    so the decode-redirect side exit appears once, at the end.  A run cut
-    short at runtime (width budget, stall, fetch buffer not holding the
-    expected successor) reports how far it got; the outer loop re-enters
-    through the successor's own stub next time.
-
-    Return protocol: ``(n_dispatched << 2) | code`` with code 0 = clean,
-    1 = structural stall, 2 = stop (decode redirect squashed younger
-    instructions).
-
-    Identity rules: ``rename._free``, ``rename.rat``, ``cpu._tag_waiters``,
-    ``cpu.store_buffer`` and the register-file arrays are rebound only by
-    flushes or restores, which cannot happen *inside* a dispatch call —
-    per-call locals here, never stub-namespace bindings.
-    """
-    buffers = config.buffers
-    first = run[0]
-    name = f"_dispatch_{first.index}"
-    kinds: List[str] = []
-    for dop in run:
-        if dop.fu_kind not in kinds:
-            kinds.append(dop.fu_kind)
-    any_reg = any(kind == SRC_REG for dop in run
-                  for _, kind, _ in dop.sources)
-    any_int_reg = any(kind == SRC_REG and payload[0] == "x"
-                      for dop in run for _, kind, payload in dop.sources)
-    any_fp_reg = any(kind == SRC_REG and payload[0] != "x"
-                     for dop in run for _, kind, payload in dop.sources)
-    any_tag = any(dop.needs_tag for dop in run)
-    lines = [f"def {name}(cpu, sc, cycle, left):",
-             "    rl = len(rob)"]
-    for kind in kinds:
-        lines.append(f"    wl_{kind} = len(w_{kind})")
-    if any(dop.is_load for dop in run):
-        lines.append("    lbl = len(load_buffer)")
-    if any(dop.is_store for dop in run):
-        lines.append("    sb = cpu.store_buffer")
-    if any_tag:
-        lines.append("    free = rename._free")
-    if any_reg or any_tag:
-        lines.append("    rat = rename.rat")
-    if any_reg:
-        lines.append("    tws = cpu._tag_waiters")
-    if any_int_reg:
-        lines.append("    ar_int = arch_regs._int")
-    if any_fp_reg:
-        lines.append("    ar_fp = arch_regs._fp")
-
-    ntag = 0
-    for k, dop in enumerate(run):
-        i = dop.index
-        w = f"w_{dop.fu_kind}"
-
-        def exit_(code, count=k, tags=None):
-            tags = ntag if tags is None else tags
-            return [f"        {line}"
-                    for line in _run_exit(count, tags, code)]
-
-        if k:
-            lines += [
-                f"    # -- op {k}: {dop.mnemonic} @ {dop.pc:#x}",
-                f"    if left <= {k} or not fetch_buffer:",
-                *exit_(0),
-                "    sc = fetch_buffer[0]",
-                f"    if sc.dop is not D_{i}:",
-                *exit_(0),
-            ]
-        lines += [
-            f"    if rl >= {buffers.rob_size}:",
-            "        cpu.dispatch_stalls['robFull'] += 1",
-            *exit_(1),
-            f"    if wl_{dop.fu_kind} >= {buffers.issue_window_size}:",
-            "        cpu.dispatch_stalls['windowFull'] += 1",
-            *exit_(1),
-        ]
-        if dop.is_load:
-            lines += [
-                f"    if lbl >= {config.memory.load_buffer_size}:",
-                "        cpu.dispatch_stalls['loadBufferFull'] += 1",
-                *exit_(1),
-            ]
-        if dop.is_store:
-            lines += [
-                f"    if len(sb) >= {config.memory.store_buffer_size}:",
-                "        cpu.dispatch_stalls['storeBufferFull'] += 1",
-                *exit_(1),
-            ]
-        if dop.needs_tag:
-            lines += [
-                "    if not free:",
-                "        cpu.dispatch_stalls['renameFull'] += 1",
-                *exit_(1),
-            ]
-        lines += [
-            "    fetch_buffer.popleft()",
-            "    operands = sc.operands",
-            "    op_values = sc.op_values",
-        ]
-        for j, (sname, kind, payload) in enumerate(dop.sources):
-            if kind == SRC_REG:
-                if payload[0] == "x":
-                    read = f"ar_int[{int(payload[1:])}]"
-                else:
-                    read = f"ar_fp[{int(payload[1:])}]"
-                lines += [
-                    f"    tag = rat.get({payload!r})",
-                    "    if tag is None:",
-                    f"        v = {read}",
-                    f"        operands[{sname!r}] = ('val', v)",
-                    f"        op_values[{sname!r}] = v",
-                    "    else:",
-                    "        e = entries[tag]",
-                    "        if e.valid:",
-                    "            v = e.value",
-                    f"            operands[{sname!r}] = ('val', v)",
-                    f"            op_values[{sname!r}] = v",
-                    "        else:",
-                    f"            operands[{sname!r}] = ('tag', tag)",
-                    f"            sc.renamed_sources[{sname!r}]"
-                    " = 't%d' % tag",
-                    f"            sc.pending_tags[{sname!r}] = tag",
-                    "            tw = tws.get(tag)",
-                    "            if tw is None:",
-                    f"                tws[tag] = [(sc, {sname!r})]",
-                    "            else:",
-                    f"                tw.append((sc, {sname!r}))",
-                ]
-            else:
-                const = f"C_{i}_{j}"
-                val = f"K_{i}_{j}"
-                ns[const] = ("val", payload)
-                ns[val] = payload
-                lines += [
-                    f"    operands[{sname!r}] = {const}",
-                    f"    op_values[{sname!r}] = {val}",
-                ]
-        if dop.has_dest:
-            lines.append(f"    sc.dest_arch = {dop.dest_arch!r}")
-            if dop.needs_tag:
-                # rename.allocate inlined; the free-list guard above
-                # already established the pool is non-empty
-                lines += [
-                    "    tag = free.pop(0)",
-                    "    e = entries[tag]",
-                    f"    e.arch = {dop.dest_arch!r}",
-                    "    e.value = 0",
-                    "    e.valid = False",
-                    "    e.busy = True",
-                    f"    rat[{dop.dest_arch!r}] = tag",
-                    "    sc.dest_tag = tag",
-                ]
-                ntag += 1
-        if dop.is_load:
-            lines += ["    load_buffer.append(sc)",
-                      "    lbl += 1"]
-        if dop.is_store:
-            lines += [
-                "    entry = StoreBufferEntry(sc)",
-                "    sb.append(entry)",
-                "    cpu._store_by_id[sc.id] = entry",
-                "    cpu.v_storeb += 1",
-            ]
-        lines += [
-            "    ts = sc.timestamps",
-            "    ts['decode'] = cycle",
-            "    ts['dispatch'] = cycle",
-            "    sc.sver += 1",
-            "    rob.append(sc)",
-            "    rl += 1",
-            f"    {w}.append(sc)",
-            f"    wl_{dop.fu_kind} += 1",
-        ]
-        if dop.is_branch:
-            lines += [
-                "    if cpu._decode_redirect(sc):",
-                *exit_(2, count=k + 1, tags=ntag),
-            ]
-    lines += [f"    {line}" for line in _run_exit(len(run), ntag, 0)]
-    return "\n".join(lines) + "\n"
-
-
-def _emit_eval_stub(dop: DecodedOp, ns: Dict[str, object]) -> str:
-    """Eval stub for one op: ``Cpu._evaluate`` with the kind ladder folded."""
-    i = dop.index
-    name = f"_eval_{i}"
-    lines = [f"def {name}(sc):",
-             "    values = sc.op_values"]
-    if dop.expr is not None:
-        # bind the expression's compiled fast function directly when it
-        # exists (eval_fast is a thin dispatch wrapper around it)
-        fast = dop.expr._fast
-        if fast is not None:
-            ns[f"F_{i}"] = fast
-            call = f"F_{i}(values, {dop.pc})"
-        else:
-            ns[f"E_{i}"] = dop.expr
-            call = f"E_{i}.eval_fast(values, {dop.pc})"
-        lines += [
-            f"    result, assignments, exception = {call}",
-            "    if exception is not None:",
-            "        sc.exception = exception",
-            "    sc.assignments = assignments",
-        ]
-    else:
-        lines += [
-            "    result = None",
-            "    assignments = []",
-            "    sc.assignments = assignments",
-        ]
-    if dop.fu_kind == "LS":
-        lines.append("    sc.address = int(result) & 0xFFFFFFFF"
-                     " if result is not None else 0")
-        if dop.is_store:
-            ns[f"ENC_{i}"] = dop.store_encode
-            lines.append(f"    sc.store_data = ENC_{i}("
-                         f"values[{dop.store_value_name!r}])")
-    elif dop.is_branch:
-        if dop.static_target is not None:
-            lines.append(f"    target = {dop.static_target}")
-        else:
-            tfast = dop.target_expr._fast
-            if tfast is not None:
-                ns[f"T_{i}"] = tfast
-                tcall = f"T_{i}(values, {dop.pc})"
-            else:
-                ns[f"T_{i}"] = dop.target_expr.eval_fast
-                tcall = f"T_{i}(values, {dop.pc})"
-            lines.append(f"    target = int({tcall}[0]) & 0xFFFFFFFF")
-        if dop.is_unconditional:
-            lines += [
-                "    sc.actual_taken = True",
-                "    sc.actual_target = target",
-            ]
-        else:
-            lines += [
-                "    if result:",
-                "        sc.actual_taken = True",
-                "        sc.actual_target = target",
-                "    else:",
-                "        sc.actual_taken = False",
-                "        sc.actual_target = None",
-            ]
-        if dop.has_dest:
-            lines += [
-                "    if assignments:",
-                "        sc.result = assignments[-1][1]",
-            ]
-    else:
-        if dop.dest_name is not None:
-            lines += [
-                "    for aname, avalue in reversed(assignments):",
-                f"        if aname == {dop.dest_name!r}:",
-                "            sc.result = avalue",
-                "            break",
-                "    else:",
-                "        sc.result = result",
-            ]
-        else:
-            lines.append("    sc.result = result")
-    return "\n".join(lines) + "\n"
-
-
-def compile_block(cpu, block) -> Tuple[Dict[int, Callable],
-                                       Dict[int, Callable],
-                                       Dict[int, Callable]]:
-    """Compile one superblock; returns (fetch, dispatch, eval) stub maps.
-
-    Fetch stubs are keyed by pc (one per in-block offset, so sequential
-    fetch can resume mid-block after a capacity cut); dispatch and eval
-    stubs are keyed by static-instruction index.
-    """
-    ops = block.ops
-    ns: Dict[str, object] = {
-        "SimCode": SimCode,
-        "SC_new": SimCode.__new__,
-        "StoreBufferEntry": StoreBufferEntry,
-        # per-Cpu structures that are identity-stable across restores
-        "fetch_buffer": cpu.fetch_buffer,
-        "rob": cpu.rob,
-        "load_buffer": cpu.load_buffer,
-        "rename": cpu.rename,
-        "entries": cpu.rename.entries,
-        "arch_regs": cpu.arch_regs,
-        "predictor": cpu.predictor,
-        "PredCls": type(make_bit_predictor(
-            cpu.config.predictor.predictor_type,
-            cpu.config.predictor.default_state)),
-    }
-    for kind, window in cpu._window_items:
-        ns[f"w_{kind}"] = window
-    parts: List[str] = []
-    for offset in range(len(ops)):
-        parts.append(_emit_fetch_stub(ops, offset, ns, cpu.config))
-    # one fused dispatch run per in-block offset, capped at the dispatch
-    # width (a single call can never dispatch more) and truncated before
-    # any op the configuration cannot execute (those keep the
-    # interpreter's dispatch so its error handling fires)
-    width = cpu.config.buffers.fetch_width
-    errors = cpu._dispatch_error
-    run_starts: List[int] = []
-    for offset, dop in enumerate(ops):
-        if errors[dop.index] is not None:
-            continue
-        run = []
-        for nxt in ops[offset:offset + width]:
-            if errors[nxt.index] is not None:
-                break
-            run.append(nxt)
-        run_starts.append(offset)
-        parts.append(_emit_dispatch_run(run, cpu.config, ns))
-    for dop in ops:
-        parts.append(_emit_eval_stub(dop, ns))
-    source = "\n".join(parts)
-    exec(compile(source, f"<trace-block {block.head_pc:#x}>", "exec"), ns)
-    fetch = {dop.pc: ns[f"_fetch_{dop.pc:x}"] for dop in ops}
-    dispatch = {ops[k].index: ns[f"_dispatch_{ops[k].index}"]
-                for k in run_starts}
-    evals = {dop.index: ns[f"_eval_{dop.index}"] for dop in ops}
-    return fetch, dispatch, evals
+    loop = _STEP_CACHE.get(key)
+    if loop is None:
+        p = cpu.config.predictor
+        ns = {
+            "SimCode": SimCode,
+            "StoreBufferEntry": StoreBufferEntry,
+            "insort": insort,
+            "_skey": _simcode_id,
+            "SimulationException": SimulationException,
+            "reg_int": _REG_INT,
+            "fp_idx": _FP_IDX,
+            "f32r": float32_round,
+            "PredCls": type(make_bit_predictor(p.predictor_type,
+                                               p.default_state)),
+        }
+        exec(compile(build_step_source(cpu),
+                     f"<trace-step {cpu.config.name}>", "exec"), ns)
+        loop = _STEP_CACHE[key] = ns["step_loop"]
+    return loop

@@ -57,9 +57,6 @@ class MainMemory:
         self._page_count = (capacity + PAGE_SIZE - 1) >> _PAGE_SHIFT
         self._page_versions = [0] * self._page_count
         self._page_blobs: list = [None] * self._page_count
-        #: optional listener fired by :meth:`set_image` (not persisted
-        #: state — the trace tier drops compiled superblocks on it)
-        self.on_set_image = None
 
     # -- page-level dirty tracking ---------------------------------------
     def _dirty_range(self, address: int, size: int) -> None:
@@ -169,8 +166,6 @@ class MainMemory:
         self.version += 1
         self._dirty_all()
         self._page_blobs = [None] * self._page_count
-        if self.on_set_image is not None:
-            self.on_set_image()
 
     def reset(self) -> None:
         self.data = bytearray(self.capacity)

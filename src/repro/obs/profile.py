@@ -10,11 +10,10 @@ fast path is byte-for-byte untouched:
   the class: a detached CPU pays nothing, not even a branch.  Timing is
   stride-sampled (clock reads on every N-th call per stage) so the
   attached overhead stays small and the *relative* shares stay honest.
-* :class:`ResidencyProfiler` — chunked throughput/residency timeline
-  for trace-tier runs: drives ``cpu.run`` in cycle slices and diffs the
-  tier's ``stats`` (blocks, compiled, sideExits, invalidations) plus
-  cycles/instructions per slice, answering "when did the run migrate
-  from interpreter to compiled superblocks, and did it stay there".
+* :class:`ResidencyProfiler` — chunked throughput timeline for
+  uninstrumented runs: drives ``cpu.run`` in cycle slices and records
+  cycles/instructions/wall time per slice plus which tier served it
+  (the config-specialized step loop or the interpreter).
 
 Clocks are injected (``time_fn=``) for deterministic tests.  This
 module is never imported by ``explore/runner.py``'s closure, by
@@ -135,13 +134,15 @@ class PipelineProfiler:
 
 
 class ResidencyProfiler:
-    """Chunked trace-tier residency timeline.
+    """Chunked throughput timeline of an uninstrumented run.
 
     Drives ``cpu.run`` in fixed cycle slices and records, per slice,
-    the cycle/instruction deltas, wall seconds, and the tier's stat
-    deltas.  A slice whose ``compiled`` delta is positive is where the
-    tier was still warming; steady-state slices with zero deltas and
-    high cycles/sec are compiled-superblock residency."""
+    the cycle/instruction deltas, wall seconds, cycles/sec and the
+    ``mode`` that served it: ``"traced"`` when the CPU runs its
+    config-specialized step loop (``cpu._step_loop``), ``"interpreter"``
+    otherwise.  The loop is compiled at most once per configuration,
+    inside the first slice that needs it, so later slices are steady
+    state."""
 
     def __init__(self, cpu, chunk_cycles: int = 50_000,
                  time_fn: Callable[[], float] = time.perf_counter):
@@ -151,12 +152,6 @@ class ResidencyProfiler:
         self.chunks: List[dict] = []
 
     # ------------------------------------------------------------------
-    def _tier_stats(self) -> Dict[str, int]:
-        tier = getattr(self.cpu, "_trace_tier", None)
-        if tier is None:
-            return {}
-        return dict(tier.stats)
-
     def run(self, budget: int) -> None:
         """Run to halt or *budget* total cycles, recording one chunk
         entry per slice."""
@@ -165,21 +160,17 @@ class ResidencyProfiler:
             target = min(cpu.cycle + self.chunk_cycles, budget)
             cycles0 = cpu.cycle
             insns0 = cpu.committed
-            stats0 = self._tier_stats()
             t0 = self._time()
             cpu.run(target)
             wall = self._time() - t0
-            stats1 = self._tier_stats()
-            delta = {key: stats1[key] - stats0.get(key, 0)
-                     for key in sorted(stats1)}
             cycles = cpu.cycle - cycles0
             self.chunks.append({
                 "cycles": cycles,
                 "instructions": cpu.committed - insns0,
                 "wallS": round(wall, 6),
                 "cps": round(cycles / wall, 1) if wall > 0 else None,
-                "tier": delta,
-                "mode": "traced" if stats1 else "interpreter",
+                "mode": ("traced" if cpu._step_loop is not None
+                         else "interpreter"),
             })
 
     # ------------------------------------------------------------------

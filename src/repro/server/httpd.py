@@ -32,6 +32,9 @@ from repro.sim.state import dumps_raw
 
 #: responses smaller than this are not worth compressing
 _GZIP_THRESHOLD = 256
+#: longest wait for the rest of a request body; a client that declares
+#: more bytes than it sends gets a 408 instead of pinning the thread
+BODY_READ_TIMEOUT_S = 10.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -56,7 +59,19 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError("invalid Content-Length header")
         if length == 0:
             return None
-        raw = self.rfile.read(length)
+        # bound the body read only: the idle wait for the next request on
+        # a keep-alive connection keeps the socket's own timeout
+        idle_timeout = self.connection.gettimeout()
+        self.connection.settimeout(BODY_READ_TIMEOUT_S)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise ApiError(f"request body incomplete after "
+                           f"{BODY_READ_TIMEOUT_S:g} s: fewer bytes than "
+                           f"Content-Length {length}", status=408) from None
+        finally:
+            self.connection.settimeout(idle_timeout)
         try:
             if self.headers.get("Content-Encoding", "") == "gzip":
                 raw = gzip.decompress(raw)
@@ -82,6 +97,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         if use_gzip:
             self.send_header("Content-Encoding", "gzip")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)

@@ -65,8 +65,8 @@ from repro.sim.state import SNAPSHOT_SCHEMA_VERSION, RawJson
 #: ``/worker/status`` cache metrics.  v6 adds the ``fastForward`` field
 #: on ``/session/seek`` responses: the cycles of the move served by the
 #: uninstrumented fast path (checkpoint-seeded fast-forward through the
-#: superblock trace tier), 0 when the move was stepped or replayed from a
-#: nearby checkpoint.  v7 adds the telemetry plane: ``GET /metrics``
+#: config-specialized step loop), 0 when the move was stepped or replayed
+#: from a nearby checkpoint.  v7 adds the telemetry plane: ``GET /metrics``
 #: (registry scrape; JSON here, Prometheus text exposition at the HTTP
 #: layer via ``?format=prometheus``), ``GET /trace/<sweepId>`` (one
 #: sweep's span tree — queue wait, dispatch, per-job compile/simulate/

@@ -162,8 +162,8 @@ class DebugSession:
 
         With no breakpoints or watches installed there is nothing to
         probe along the way: the commit hook is lifted so the move runs
-        on the uninstrumented fast path (the superblock trace tier via
-        :meth:`Simulation.seek` — checkpoint-seeded fast-forward), and
+        on the uninstrumented fast path (the config-specialized step loop
+        via :meth:`Simulation.seek` — checkpoint-seeded fast-forward), and
         the hook is reinstalled before instrumented stepping resumes.
         Determinism makes the fast-forwarded state bit-identical to the
         stepped one, so breakpoints added afterwards behave as if every

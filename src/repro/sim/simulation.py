@@ -13,7 +13,7 @@ Observability boundary
 ----------------------
 
 This module (and everything below it — :mod:`repro.core.pipeline`,
-:mod:`repro.core.trace`) is *outside* the telemetry plane: it never
+:mod:`repro.core.tracegen`) is *outside* the telemetry plane: it never
 imports :mod:`repro.obs`, reads no wall clock, and emits no metrics.
 Profiling is attach-from-outside only — :class:`repro.obs.profile`
 wraps stage methods as instance attributes and removes them on detach,
@@ -212,10 +212,10 @@ class Simulation:
 
         With no observers and a gap worth more than two checkpoint
         intervals, the bulk of the move runs **uninstrumented**
-        (:meth:`Cpu.run` — the superblock trace tier when enabled) to the
-        last interval boundary below the target, drops the checkpoint the
-        stepped path would have left there, and only the tail interval is
-        stepped.  Determinism makes the two paths land in bit-identical
+        (:meth:`Cpu.run` — the config-specialized step loop when enabled)
+        to the last interval boundary below the target, drops the
+        checkpoint the stepped path would have left there, and only the
+        tail interval is stepped.  Determinism makes the two paths land in bit-identical
         state, so instrumented stepping resumes seamlessly afterwards."""
         cpu = self.cpu
         interval = self.checkpoints.interval or 256

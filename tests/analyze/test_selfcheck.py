@@ -63,5 +63,17 @@ class TestSelfCheck:
         scope = DeterminismRule().scope(project)
         for expected in ("repro.explore.runner", "repro.sim.simulation",
                          "repro.core.pipeline", "repro.memory.main_memory",
-                         "repro.sim.statistics"):
+                         "repro.sim.statistics", "repro.core.tracegen"):
             assert expected in scope, f"{expected} left determinism scope"
+
+    def test_listed_scope_modules_exist(self):
+        # both rules skip listed modules that are missing from the tree,
+        # so a deleted or renamed module would shrink their scope silently
+        from repro.analyze.rules.determinism import EXPLICIT_MODULES
+        from repro.analyze.rules.lock_discipline import LOCK_MODULES
+        _root, project = load_real_tree()
+        missing = [name for name in EXPLICIT_MODULES
+                   if name not in project.modules]
+        missing += [rel for rel in LOCK_MODULES
+                    if project.by_rel(rel) is None]
+        assert missing == [], f"lint scopes name missing modules: {missing}"

@@ -65,6 +65,7 @@ class TestLocalMode:
         full = capsys.readouterr().out
         assert len(full) > len(brief)
         assert "unit utilization" in full
+        assert "trace tier        : config-specialized step loop" in full
 
     def test_entry_point(self, tmp_path, arch_file, capsys):
         path = tmp_path / "entry.s"

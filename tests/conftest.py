@@ -5,8 +5,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro import CpuConfig, Simulation
+
+# Tier-1 keeps hypothesis' default (bounded) example budget; the "ci"
+# profile is the long run of the generated-program properties:
+#   pytest tests/integration/test_differential.py --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def run_asm(source: str, entry: Optional[object] = None,

@@ -1,22 +1,17 @@
-"""Superblock trace tier: hot detection, invalidation, interpreter parity.
+"""Trace tier: the config-specialized step loop vs the interpreter.
 
 The tier's one guarantee is that it is invisible: any uninstrumented run
-with traces enabled must land in byte-identical architectural state to
-the same run with ``config.trace = False``.  These tests pin the parity
-plus the invalidation protocol (self-modifying stores, image swaps) that
-keeps it honest when the notional code region is written.
+through the step loop must land in byte-identical architectural state to
+the same run with ``config.trace = False``.  These fixed programs pin
+the parity on the cases that matter most — a hot loop, stores into the
+notional code region, stack stores and a memory image swapped mid-run —
+and the gate that decides when the loop runs at all.  Generated programs
+get the same check in ``tests/integration/test_differential.py``.
 """
 
 import json
 
-import pytest
-
 from repro import CpuConfig, Simulation
-from repro.core.trace import (
-    DEFAULT_THRESHOLD,
-    discover_superblocks,
-    trace_enabled,
-)
 
 HOT_LOOP = """
     li a0, 0
@@ -30,7 +25,8 @@ loop:
 """
 
 #: every iteration stores into the loop head's instruction bytes (the
-#: notional code region), so each drain invalidates the compiled block
+#: notional code region); fetch reads the static decode cache, so the
+#: store changes data memory only, in both tiers alike
 SELF_MODIFYING = """
     li a0, 0
     li t0, 1
@@ -54,7 +50,6 @@ def run_traced(source, **kw):
 def run_interpreted(source, **kw):
     sim = Simulation.from_source(source, **kw)
     sim.cpu.config.trace = False
-    sim.cpu._trace_wanted = False
     sim.run()
     return sim
 
@@ -69,61 +64,43 @@ def assert_parity(traced, interpreted):
 class TestEnablement:
     def test_hot_loop_compiles_and_matches_interpreter(self):
         traced = run_traced(HOT_LOOP)
-        tier = traced.cpu._trace_tier
-        assert tier is not None
-        assert tier.stats["compiled"] >= 1
+        assert traced.cpu._step_loop is not None
         assert_parity(traced, run_interpreted(HOT_LOOP))
 
-    def test_cold_code_stays_interpreted(self):
-        """Below the hot threshold nothing compiles — the tier is pure
-        bookkeeping for straight-line code."""
-        sim = run_traced("    li a0, 7\n    ebreak")
-        tier = sim.cpu._trace_tier
-        assert tier is None or tier.stats["compiled"] == 0
-
     def test_config_toggle_disables_tier(self):
-        sim = Simulation.from_source(HOT_LOOP)
-        sim.cpu.config.trace = False
-        sim.run()
-        assert sim.cpu._trace_tier is None
-
-    def test_env_toggle_disables_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not trace_enabled(CpuConfig())
-        sim = Simulation.from_source(HOT_LOOP)
-        sim.run()
-        assert sim.cpu._trace_tier is None
+        sim = run_interpreted(HOT_LOOP)
+        assert sim.cpu._step_loop is None
 
     def test_instrumented_stepping_never_builds_a_tier(self):
         sim = Simulation.from_source(HOT_LOOP)
         sim.step(300)
-        assert sim.cpu._trace_tier is None
+        assert sim.cpu._step_loop is None
+
+    def test_one_loop_per_configuration(self):
+        first, second = run_traced(HOT_LOOP), run_traced(HOT_LOOP)
+        wide = run_traced(HOT_LOOP, config=CpuConfig.preset("wide"))
+        assert first.cpu._step_loop is second.cpu._step_loop
+        assert wide.cpu._step_loop is not first.cpu._step_loop
+
+    def test_pipelined_units_take_the_interpreter(self):
+        config = CpuConfig()
+        config.fus[0].pipelined = True
+        sim = run_traced(HOT_LOOP, config=config)
+        assert sim.cpu._step_loop is None
+        assert sim.register_value("a0") == sum(range(1, 101))
 
 
 class TestInvalidation:
+    """Stores into the code region and memory-image swaps: the step loop
+    specializes on the configuration only, so each case must simply
+    stay exact."""
+
     def test_self_modifying_store_drops_block_and_stays_exact(self):
         traced = run_traced(SELF_MODIFYING)
-        tier = traced.cpu._trace_tier
-        assert tier is not None
-        # the loop got hot, compiled, and its own store threw it out again
-        assert tier.stats["invalidations"] >= 1
+        assert traced.cpu._step_loop is not None
         assert_parity(traced, run_interpreted(SELF_MODIFYING))
 
-    def test_invalidation_applies_recompile_backoff(self):
-        """A store loop aliasing its own hot block must degrade to the
-        interpreter, not thrash compile/invalidate every iteration."""
-        traced = run_traced(SELF_MODIFYING)
-        tier = traced.cpu._trace_tier
-        loop_pc = traced.program.labels["loop"] \
-            if hasattr(traced.program, "labels") \
-            else traced.symbol_address("loop")
-        assert tier.block_threshold[loop_pc] > DEFAULT_THRESHOLD
-        # backoff is exponential: invalidations stay far below iterations
-        assert tier.stats["invalidations"] <= 5
-
     def test_data_stores_do_not_invalidate(self):
-        """Stores above the code limit (the stack, the data segment) never
-        touch compiled blocks."""
         source = """
     addi sp, sp, -64
     li a0, 0
@@ -136,38 +113,14 @@ loop:
     ble t0, t1, loop
     ebreak
 """
-        traced = run_traced(source)
-        tier = traced.cpu._trace_tier
-        assert tier is not None and tier.stats["compiled"] >= 1
-        assert tier.stats["invalidations"] == 0
-        assert_parity(traced, run_interpreted(source))
+        assert_parity(run_traced(source), run_interpreted(source))
 
     def test_set_image_drops_every_block(self):
         sim = Simulation.from_source(HOT_LOOP)
         # cpu.run (not sim.run): a Simulation-level budget halts the run
         # permanently, while the raw cpu budget just pauses mid-loop
-        sim.cpu.run(120)                   # hot, compiled, mid-loop
-        tier = sim.cpu._trace_tier
-        assert tier is not None and tier.stats["compiled"] >= 1
-        invalidations = tier.stats["invalidations"]
+        sim.cpu.run(120)
+        assert sim.cpu._step_loop is not None
         sim.cpu.memory.set_image(bytearray(sim.cpu.memory.data))
-        assert tier.stats["compiled"] == 0
-        assert tier.stats["invalidations"] == invalidations + 1
-        # detection re-arms from zero and the run stays bit-exact
         sim.run()
         assert_parity(sim, run_interpreted(HOT_LOOP))
-
-
-class TestDiscovery:
-    def test_blocks_are_disjoint_and_cover_leaders(self):
-        sim = Simulation.from_source(HOT_LOOP)
-        blocks = discover_superblocks(sim.cpu.decoded,
-                                      sim.program.entry_pc)
-        seen = set()
-        for block in blocks.values():
-            for dop in block.ops:
-                assert dop.index not in seen    # disjoint
-                seen.add(dop.index)
-        loop_pc = sim.symbol_address("loop")
-        assert loop_pc in blocks                # branch target is a leader
-        assert blocks[loop_pc].ops[-1].is_branch

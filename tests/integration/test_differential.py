@@ -1,13 +1,24 @@
-"""Differential testing: the out-of-order pipeline vs a sequential
-reference interpreter.
+"""Differential testing on fixed and generated programs.
 
-The reference executes the same assembled :class:`Program` one instruction
-at a time, directly from the declarative instruction semantics — no
-pipeline, no speculation, no caches.  Any architectural divergence
-(registers or memory) between the two is a pipeline bug: renaming,
-forwarding, squashing and ordering must never change results.
+Two properties:
+
+* the out-of-order pipeline vs a sequential reference interpreter.  The
+  reference executes the same assembled :class:`Program` one instruction
+  at a time, directly from the declarative instruction semantics — no
+  pipeline, no speculation, no caches.  Any architectural divergence
+  (registers or memory) between the two is a pipeline bug: renaming,
+  forwarding, squashing and ordering must never change results;
+* the trace tier's config-specialized step loop (``sim.run()``) vs the
+  interpreter (``config.trace = False``), cycle-exact: same cycle count,
+  same commit count, byte-identical cold snapshot, on every preset and
+  predictor kind.
+
+Tier-1 runs hypothesis' default example budget; the long run is
+``pytest tests/integration/test_differential.py --hypothesis-profile=ci``
+(profile registered in ``tests/conftest.py``).
 """
 
+import json
 import struct
 
 import pytest
@@ -195,39 +206,89 @@ class TestFixedPrograms:
         compare(FIXED_PROGRAMS[1], config=CpuConfig.preset(preset))
 
 
-# random straight-line + simple-loop program generator
+# random program generator: straight-line ALU/memory ops plus counted
+# loops, data-dependent forward branches, memory bursts and stores into
+# the code region
 _REGS = [f"x{i}" for i in range(5, 13)]
+#: loop counter, code-store base and divisor scratch: never written by
+#: the randomly chosen destinations
+_COUNTER, _CODE_BASE, _DIVISOR = "x28", "x29", "x30"
+
+
+def simple_op(draw):
+    kind = draw(st.integers(0, 6))
+    rd = draw(st.sampled_from(_REGS))
+    rs1 = draw(st.sampled_from(_REGS))
+    rs2 = draw(st.sampled_from(_REGS))
+    if kind == 0:
+        return f"    li {rd}, {draw(st.integers(-2048, 2047))}"
+    if kind == 1:
+        op = draw(st.sampled_from(
+            ["add", "sub", "xor", "or", "and", "mul", "sltu"]))
+        return f"    {op} {rd}, {rs1}, {rs2}"
+    if kind == 2:
+        op = draw(st.sampled_from(["addi", "xori", "andi", "ori"]))
+        return f"    {op} {rd}, {rs1}, {draw(st.integers(-512, 511))}"
+    if kind == 3:
+        return f"    slli {rd}, {rs1}, {draw(st.integers(0, 7))}"
+    if kind == 4:
+        # long-latency divide; an odd divisor keeps it exception-free
+        op = draw(st.sampled_from(["div", "divu", "rem", "remu"]))
+        return (f"    ori {_DIVISOR}, {rs2}, 1\n"
+                f"    {op} {rd}, {rs1}, {_DIVISOR}")
+    offset = draw(st.integers(0, 15)) * 4
+    if kind == 5:
+        return f"    sw {rs1}, {offset}(sp)"
+    return f"    lw {rd}, {offset}(sp)"
 
 
 @st.composite
 def random_program(draw):
     lines = []
     n = draw(st.integers(3, 25))
-    for _ in range(n):
-        kind = draw(st.integers(0, 5))
-        rd = draw(st.sampled_from(_REGS))
-        rs1 = draw(st.sampled_from(_REGS))
-        rs2 = draw(st.sampled_from(_REGS))
-        if kind == 0:
-            lines.append(f"    li {rd}, {draw(st.integers(-2048, 2047))}")
-        elif kind == 1:
-            op = draw(st.sampled_from(
-                ["add", "sub", "xor", "or", "and", "mul", "sltu"]))
-            lines.append(f"    {op} {rd}, {rs1}, {rs2}")
-        elif kind == 2:
-            op = draw(st.sampled_from(["addi", "xori", "andi", "ori"]))
-            lines.append(f"    {op} {rd}, {rs1}, "
-                         f"{draw(st.integers(-512, 511))}")
-        elif kind == 3:
-            lines.append(f"    slli {rd}, {rs1}, {draw(st.integers(0, 7))}")
-        elif kind == 4:
-            offset = draw(st.integers(0, 15)) * 4
-            lines.append(f"    sw {rs1}, {offset}(sp)")
+    for label in range(n):
+        kind = draw(st.integers(0, 9))
+        if kind == 6:
+            # counted loop over a few simple ops, optionally storing into
+            # its own first instruction on every iteration
+            self_store = draw(st.booleans())
+            lines.append(f"    li {_COUNTER}, {draw(st.integers(1, 16))}")
+            if self_store:
+                lines.append(f"    la {_CODE_BASE}, loop{label}")
+            lines.append(f"loop{label}:")
+            lines += [simple_op(draw)
+                      for _ in range(draw(st.integers(1, 6)))]
+            if self_store:
+                rs = draw(st.sampled_from(_REGS))
+                lines.append(f"    sw {rs}, 0({_CODE_BASE})")
+            lines.append(f"    addi {_COUNTER}, {_COUNTER}, -1")
+            lines.append(f"    bnez {_COUNTER}, loop{label}")
+        elif kind == 7:
+            # data-dependent forward branch over a few simple ops
+            op = draw(st.sampled_from(["beq", "bne", "blt", "bgeu"]))
+            rs1 = draw(st.sampled_from(_REGS))
+            rs2 = draw(st.sampled_from(_REGS))
+            lines.append(f"    {op} {rs1}, {rs2}, skip{label}")
+            lines += [simple_op(draw)
+                      for _ in range(draw(st.integers(1, 3)))]
+            lines.append(f"skip{label}:")
+        elif kind == 8:
+            # store into the program's own instruction bytes
+            rs = draw(st.sampled_from(_REGS))
+            lines.append(f"    la {_CODE_BASE}, top")
+            lines.append(f"    sw {rs}, {draw(st.integers(0, 3)) * 4}"
+                         f"({_CODE_BASE})")
+        elif kind == 9:
+            # burst of loads or stores: fills the load/store buffers
+            op = draw(st.sampled_from(["sw", "lw"]))
+            for _ in range(draw(st.integers(4, 12))):
+                reg = draw(st.sampled_from(_REGS))
+                lines.append(f"    {op} {reg}, "
+                             f"{draw(st.integers(0, 15)) * 4}(sp)")
         else:
-            offset = draw(st.integers(0, 15)) * 4
-            lines.append(f"    lw {rd}, {offset}(sp)")
+            lines.append(simple_op(draw))
     lines.append("    ebreak")
-    return "    addi sp, sp, -64\n" + "\n".join(lines)
+    return "top:\n    addi sp, sp, -64\n" + "\n".join(lines)
 
 
 class TestRandomPrograms:
@@ -240,3 +301,33 @@ class TestRandomPrograms:
     @given(random_program())
     def test_wide_preset_matches_reference(self, source):
         compare(source, config=CpuConfig.preset("wide"))
+
+
+def run_tier(source, preset, predictor, global_history, trace):
+    config = CpuConfig.preset(preset)
+    config.predictor.predictor_type = predictor
+    config.predictor.use_global_history = global_history
+    config.trace = trace
+    sim = Simulation.from_source(source, config=config)
+    sim.run()
+    return sim
+
+
+class TestStepLoopParity:
+    """``sim.run()`` through the step loop is cycle-exact with the
+    interpreter (example budget from the active hypothesis profile)."""
+
+    @settings(deadline=None)
+    @given(random_program(), st.sampled_from(["scalar", "default", "wide"]),
+           st.sampled_from(["zero", "one", "two"]), st.booleans())
+    def test_step_loop_matches_interpreter(self, source, preset, predictor,
+                                           global_history):
+        traced = run_tier(source, preset, predictor, global_history, True)
+        interpreted = run_tier(source, preset, predictor, global_history,
+                               False)
+        assert traced.cpu._step_loop is not None
+        assert interpreted.cpu._step_loop is None
+        assert traced.cycle == interpreted.cycle
+        assert traced.cpu.committed == interpreted.cpu.committed
+        assert json.dumps(traced.snapshot_cold(), sort_keys=True) \
+            == json.dumps(interpreted.snapshot_cold(), sort_keys=True)

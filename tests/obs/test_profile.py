@@ -88,11 +88,9 @@ class TestResidencyProfiler:
         assert report["totalCycles"] == sim.cpu.cycle
         assert len(report["chunks"]) >= 2
         assert all(chunk["cycles"] > 0 for chunk in report["chunks"])
-        # the loop is hot: the trace tier engages, so chunks report
-        # traced mode and the warmup chunk shows compilation activity
-        assert report["chunks"][-1]["mode"] == "traced"
-        assert sum(chunk["tier"].get("compiled", 0)
-                   for chunk in report["chunks"]) >= 1
+        # the step loop engages inside the first slice, so every chunk
+        # reports traced mode
+        assert {chunk["mode"] for chunk in report["chunks"]} == {"traced"}
 
     def test_interpreter_mode_reported_without_tier(self):
         sim = interpreter_sim()
@@ -118,10 +116,10 @@ class TestLayering:
         """The profiler attaches from outside; the simulated machine and
         the deterministic job closure must not know it exists."""
         import repro.core.pipeline
-        import repro.core.trace
+        import repro.core.tracegen
         import repro.explore.runner
         import repro.sim.simulation
-        for module in (repro.core.pipeline, repro.core.trace,
+        for module in (repro.core.pipeline, repro.core.tracegen,
                        repro.sim.simulation, repro.explore.runner):
             imports = module_imports(module.__file__)
             assert not any(name.startswith("repro.obs.profile")

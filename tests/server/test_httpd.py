@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.server import httpd
 from repro.server.client import SimClient
 from repro.server.httpd import SimServer
 from repro.server.loadtest import (DEFAULT_PROGRAMS, LoadTestConfig,
@@ -105,6 +106,23 @@ class TestHostileBodies:
         for headers in ({"Content-Length": "-1"},
                         {"Content-Length": "abc"}):
             self.raw_post(server, headers)
+        assert client.health()["status"] == "ok"
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
+
+    def test_overstated_content_length_times_out_with_408(
+            self, server, client, monkeypatch):
+        """A body shorter than its Content-Length (client still
+        connected) gets a prompt 408 and a closed connection instead of
+        pinning the connection thread until the client hangs up."""
+        monkeypatch.setattr(httpd, "BODY_READ_TIMEOUT_S", 0.2)
+        started = time.monotonic()
+        status, data = self.raw_post(server, {"Content-Length": "100"},
+                                     b'{"code": ')
+        assert status == 408
+        assert "Content-Length" in data["error"] and data["status"] == 408
+        assert time.monotonic() - started < 2.0
         assert client.health()["status"] == "ok"
         sid = client.session_new(DEFAULT_PROGRAMS[0])
         assert client.session_step(sid, 1)["state"]["cycle"] == 1
