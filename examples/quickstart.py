@@ -54,26 +54,34 @@ print(f"after seek(24): cycle={sim.cycle} "
       f"(replayed {sim.last_replay_cycles} from checkpoint @16)")
 
 # ---------------------------------------------------------------------------
-# 2b. how the trace tier works (the run-to-completion fast path)
+# 2b. one definition per pipeline stage, two programs (the trace tier)
 #
-# Uninstrumented runs (`sim.run()` with no observers, and the fast-forward
-# leg of far-forward `seek`s) execute through the *trace tier*: one
-# Python function generated for the processor configuration, with every
-# pipeline stage inlined into a single loop body, the widths, buffer
-# sizes and unit latencies folded into literals, and the per-unit loops
-# unrolled.  It is compiled once per configuration and reused by every
-# CPU built from it.  It specializes on the configuration only, never on
-# the program, so stores into the code image need no special handling.
-# Rare events (a mispredict flush, a store drain, a decode redirect) call
-# the interpreter's own methods, so behaviour is bit-identical by
-# construction (pinned by the golden determinism suite and a
-# generated-program parity property).
+# Each pipeline stage (commit, memory, execute, issue, dispatch, fetch,
+# busy accounting, end detection) is written once, as an emitter in
+# repro/core/tracegen.py that writes the stage's Python source.  The
+# emitters produce two programs from the same lines:
 #
-# Stepped (instrumented) simulation is untouched.  Far-forward seeks run
-# uninstrumented to the last checkpoint boundary below the target, drop
-# the checkpoint there, and step only the tail interval —
-# `sim.last_fast_forward` reports the fast-forwarded share.  When
-# bisecting a timing bug you can rule the tier out with
+#   * the interpreter — `Cpu.step` and its stage methods, which read the
+#     configuration at run time; stepped simulation (`sim.step`,
+#     observers, the debugger) runs it;
+#   * the *trace tier* — one function per processor configuration with
+#     every stage inlined into a single loop body, widths, buffer sizes
+#     and unit latencies folded into literals and the per-unit code
+#     unrolled.  Uninstrumented runs (`sim.run()` with no observers, and
+#     the fast-forward leg of far-forward `seek`s) use it.  It is
+#     compiled once per configuration (a bounded LRU cache) and
+#     specializes on the configuration only, never on the program, so
+#     stores into the code image need no special handling.
+#
+# So a timing-model change is made once and both programs get it; the
+# golden determinism suite and generated-program parity properties pin
+# that they agree.  `tracegen.build_interpreter_source()` and
+# `tracegen.build_step_source(cpu)` return the generated text.
+#
+# Far-forward seeks run uninstrumented to the last checkpoint boundary
+# below the target, drop the checkpoint there, and step only the tail
+# interval — `sim.last_fast_forward` reports the fast-forwarded share.
+# When bisecting a timing bug you can rule the tier out with
 # `config.trace = False`.
 #
 # `repro-sim run --verbosity 2` names the tier that ran after the
@@ -357,9 +365,10 @@ print(f"/metrics: {len(scrape)} families; sweep jobs by backend/kind: "
 api.close()
 
 # Hot-loop profiling is opt-in and sampled: PipelineProfiler wraps the
-# six per-cycle stage methods of one Cpu *instance* (interpreter path),
-# timing every Nth call; ResidencyProfiler slices an uninstrumented run
-# into chunks and reports cycles/sec and the tier that served each one.
+# six generated stage methods `Cpu.step` calls on one Cpu *instance*
+# (interpreter path), timing every Nth call; ResidencyProfiler slices an
+# uninstrumented run into chunks and reports cycles/sec and the tier that
+# served each one (in the step loop the same stages run inlined).
 from repro.obs.profile import PipelineProfiler
 
 sim = Simulation.from_source(SOURCE)

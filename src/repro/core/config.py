@@ -230,8 +230,9 @@ class CpuConfig:
     max_cycles: int = 1_000_000
     halt_on_exception: bool = True
     #: run uninstrumented simulations through the config-specialized step
-    #: loop (repro.core.tracegen); bit-exact vs the interpreter — disable
-    #: when bisecting whether a result depends on the execution tier
+    #: loop; it and the interpreter are both emitted from the stage
+    #: definitions in repro.core.tracegen and are bit-exact — disable when
+    #: bisecting whether a result depends on the execution tier
     trace: bool = True
 
     # ------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""The superscalar out-of-order pipeline.
+"""The superscalar out-of-order pipeline: processor state and side exits.
 
 Block layout follows the main simulator window (Fig. 12): fetch and decode
 blocks, reorder (retire) buffer, issue windows for the FX and FP ALUs,
 branch unit and load/store components, a variable number of FX / FP / LS
 units, load and store buffers, and a memory unit connected to the cache.
 
-Each simulation clock cycle executes the blocks in reverse pipeline order
-(commit -> memory -> execute -> issue -> dispatch -> fetch), which realizes
-the paper's "two sub-steps" rule: a functional unit completes its current
-instruction and can accept the next one within a single clock cycle
-(Sec. III-A).  Mispredicted branches are detected at execute and recovered
-at commit with a configurable flush penalty; exceptions are checked when
-the instruction is committed (Sec. III-B).
+:class:`Cpu` holds that state, snapshots and checkpoints it, and owns the
+rare control transfers a cycle may take (mispredict flush, store drain,
+load resolution, decode redirect, operand evaluation).  The clock cycle
+itself, ``Cpu.step`` and its stage methods ``_commit`` … ``_fetch``, is
+generated from the stage emitters of :mod:`repro.core.tracegen` (the one
+definition of every stage) and installed when this module loads.  A
+cycle runs the blocks in reverse pipeline order (commit -> memory ->
+execute -> issue -> dispatch -> fetch), which realizes the paper's "two
+sub-steps" rule: a functional unit completes its current instruction and
+can accept the next one within a single clock cycle (Sec. III-A).
+Mispredicted branches are detected at execute and recovered at commit
+with a configurable flush penalty; exceptions are checked when the
+instruction is committed (Sec. III-B).
 """
 
 from __future__ import annotations
@@ -19,15 +25,14 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from bisect import insort
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.asm.program import Program
 from repro.core.config import CpuConfig, FuSpec
-from repro.core.decoded import SRC_REG, DecodedOp
+from repro.core.decoded import DecodedOp
 from repro.core.rename import RenameFile
-from repro.core.simcode import Phase, SimCode
+from repro.core.simcode import SimCode
 from repro.errors import MemoryAccessError, SimulationException
 from repro.isa.instruction import FuClass
 from repro.isa.registers import RegisterFile
@@ -36,20 +41,6 @@ from repro.memory.hierarchy import MemoryModel
 from repro.memory.main_memory import MainMemory
 from repro.predictor.unit import BranchPredictor
 from repro.sim.state import SNAPSHOT_SECTIONS, SnapshotCache
-
-# Phase-name keys hoisted out of the hot loops (``Phase.X.value`` is a
-# DynamicClassAttribute lookup — measurably slow at millions of stamps).
-_FETCH = Phase.FETCH.value
-_DECODE = Phase.DECODE.value
-_DISPATCH = Phase.DISPATCH.value
-_ISSUE = Phase.ISSUE.value
-_EXECUTE = Phase.EXECUTE.value
-_WRITEBACK = Phase.WRITEBACK.value
-_COMMIT = Phase.COMMIT.value
-
-
-def _simcode_id(simcode: SimCode) -> int:
-    return simcode.id
 
 
 class FuRuntime:
@@ -62,7 +53,7 @@ class FuRuntime:
 
     __slots__ = ("spec", "simcode", "busy_until", "busy_cycles",
                  "inflight", "last_issue_cycle", "pipelined", "ops_set",
-                 "name", "flat_latency", "ops_lat")
+                 "name", "kind", "flat_latency", "ops_lat")
 
     def __init__(self, spec: FuSpec):
         self.spec = spec
@@ -74,11 +65,12 @@ class FuRuntime:
         self.last_issue_cycle = -1
         #: hot-path mirrors of the spec (attribute-chain-free)
         self.pipelined = spec.pipelined
+        self.name = spec.name
+        self.kind = spec.kind
         #: None = supports every op class (see FuSpec.supported_set)
         self.ops_set: Optional[frozenset] = spec.supported_set()
-        #: latency_of() split into data (trace-tier issue path): FX/FP
-        #: use the per-op-class dict, everything else the flat latency
-        self.name = spec.name
+        #: latency_of() split into data (the issue stage): FX/FP use the
+        #: per-op-class dict, everything else the flat latency
         self.flat_latency: Optional[int] = (
             None if spec.kind in ("FX", "FP") else spec.latency)
         self.ops_lat: Dict[str, int] = spec.operations
@@ -88,30 +80,6 @@ class FuRuntime:
         if self.pipelined:
             return bool(self.inflight)
         return self.simcode is not None
-
-    def start(self, simcode: SimCode, cycle: int, finish: int) -> None:
-        self.last_issue_cycle = cycle
-        if self.spec.pipelined:
-            self.inflight.append((simcode, finish))
-        else:
-            self.simcode = simcode
-            self.busy_until = finish
-
-    def take_finished(self, cycle: int) -> List[SimCode]:
-        """Remove and return instructions whose execution completed."""
-        done: List[SimCode] = []
-        if self.spec.pipelined:
-            still = []
-            for simcode, finish in self.inflight:
-                if cycle >= finish:
-                    done.append(simcode)
-                else:
-                    still.append((simcode, finish))
-            self.inflight = still
-        elif self.simcode is not None and cycle >= self.busy_until:
-            done.append(self.simcode)
-            self.simcode = None
-        return done
 
     def squash(self) -> None:
         if self.simcode is not None:
@@ -157,7 +125,8 @@ class StoreBufferEntry:
 
 
 class Cpu:
-    """Complete processor state plus the per-cycle block schedule."""
+    """Complete processor state; ``step`` and its stage methods are
+    generated (see the module docstring)."""
 
     def __init__(self, program: Program, config: CpuConfig):
         config.validate()
@@ -192,14 +161,6 @@ class Cpu:
             FuRuntime(spec) for spec in config.fus if spec.kind != "Memory"]
         self.memory_units: List[FuRuntime] = [
             FuRuntime(spec) for spec in config.fus if spec.kind == "Memory"]
-        #: op classes executable at all, per FU class (deadlock guard)
-        self._supported_ops: Dict[str, set] = {}
-        for fu in self.fus:
-            bucket = self._supported_ops.setdefault(fu.spec.kind, set())
-            if fu.ops_set is None:
-                bucket.add("*")
-            else:
-                bucket.update(fu.ops_set)
         #: loads whose address is known, waiting for / in a memory unit
         self.load_queue: List[SimCode] = []
         self.load_buffer: List[SimCode] = []
@@ -213,7 +174,7 @@ class Cpu:
         self.decoded: List[DecodedOp] = program.decoded_ops()
         self._instr_count = len(program.instructions)
         self._fus_by_kind: Dict[str, List[FuRuntime]] = {
-            kind: [fu for fu in self.fus if fu.spec.kind == kind]
+            kind: [fu for fu in self.fus if fu.kind == kind]
             for kind in self.windows}
         self._all_fus: List[FuRuntime] = self.fus + self.memory_units
         self._window_items: List[Tuple[str, List[SimCode]]] = \
@@ -229,17 +190,15 @@ class Cpu:
         self._load_buffer_size = config.memory.load_buffer_size
         self._store_buffer_size = config.memory.store_buffer_size
         self._max_cycles = config.max_cycles
-        #: per-static-instruction dispatch legality (None = dispatchable)
-        self._dispatch_error: List[Optional[str]] = []
-        for dop in self.decoded:
-            supported = self._supported_ops.get(dop.fu_kind, set())
-            if "*" in supported or dop.op_class in supported:
-                self._dispatch_error.append(None)
-            else:
-                self._dispatch_error.append(
-                    f"configuration error: no {dop.fu_kind} unit "
-                    f"supports '{dop.op_class}' (instruction '{dop.mnemonic}' "
-                    f"at pc={dop.pc:#x})")
+        #: per-static-instruction dispatch legality (None = dispatchable):
+        #: an op no unit of its class executes would deadlock the window
+        self._dispatch_error: List[Optional[str]] = [
+            None if any(fu.ops_set is None or dop.op_class in fu.ops_set
+                        for fu in self._fus_by_kind[dop.fu_kind])
+            else (f"configuration error: no {dop.fu_kind} unit "
+                  f"supports '{dop.op_class}' (instruction "
+                  f"'{dop.mnemonic}' at pc={dop.pc:#x})")
+            for dop in self.decoded]
 
         # -- front-end state ---------------------------------------------
         self.pc = program.entry_pc
@@ -248,7 +207,7 @@ class Cpu:
 
         # -- trace tier (repro.core.tracegen) -----------------------------
         #: tri-state gate: None = not yet resolved, False = disabled for
-        #: this CPU (config/unsupported), True = step loop engaged
+        #: this CPU (config.trace off), True = step loop engaged
         self._trace_wanted: Optional[bool] = None
         #: the config-specialized step loop, None while the interpreter runs
         self._step_loop = None
@@ -330,34 +289,6 @@ class Cpu:
         """Debug log; every message is stamped with its cycle (Sec. II-A)."""
         self.log.append((self.cycle, message))
 
-    # ==================================================================
-    # one clock cycle
-    # ==================================================================
-    def step(self) -> None:
-        """Execute one clock cycle (all blocks, reverse pipeline order)."""
-        if self.halted:
-            return
-        self._commit()
-        if self.halted:
-            self.cycle += 1
-            return
-        self._memory_step()
-        self._execute_fus()
-        self._issue()
-        self._dispatch()
-        self._fetch()
-        for fu in self.fus:
-            # inlined FuRuntime.busy (covers both pipelined modes)
-            if fu.simcode is not None or fu.inflight:
-                fu.busy_cycles += 1
-                self.v_fus += 1
-        for fu in self.memory_units:
-            if fu.simcode is not None or fu.inflight:
-                fu.busy_cycles += 1
-                self.v_mem_units += 1
-        self._check_end()
-        self.cycle += 1
-
     def run(self, budget: int) -> None:
         """Uninstrumented hot loop: step until halted or *budget* cycles.
 
@@ -371,8 +302,7 @@ class Cpu:
         if self._trace_wanted is not False and self.commit_hook is None:
             loop = self._step_loop
             if loop is None:
-                from repro.core.tracegen import compile_step, trace_supported
-                if self.config.trace and trace_supported(self):
+                if self.config.trace:
                     loop = self._step_loop = compile_step(self)
                     self._trace_wanted = True
                 else:
@@ -383,77 +313,6 @@ class Cpu:
         step = self.step
         while self.halted is None and self.cycle < budget:
             step()
-
-    # ==================================================================
-    # commit
-    # ==================================================================
-    def _commit(self) -> None:
-        rob = self.rob
-        cycle = self.cycle
-        by_type = self.committed_by_type
-        by_mnemonic = self.committed_by_mnemonic
-        for _ in range(self._commit_width):
-            if not rob:
-                return
-            head = rob[0]
-            if _WRITEBACK not in head.timestamps:
-                return  # not yet executed: in-order commit stalls here
-            rob.popleft()
-            self.v_rob += 1
-            head.timestamps[_COMMIT] = cycle
-            head.sver += 1
-            dop = head.dop
-            self.committed += 1
-            if self.commit_hook is not None:
-                self.commit_hook(head)
-            t = dop.type_key
-            by_type[t] = by_type.get(t, 0) + 1
-            m = dop.mnemonic
-            by_mnemonic[m] = by_mnemonic.get(m, 0) + 1
-            if dop.flops:
-                self.flops += dop.flops
-
-            # exceptions are checked when the instruction is committed
-            if head.exception is not None:
-                self.log_msg(
-                    f"exception at pc={head.pc:#x} ({head.mnemonic}): "
-                    f"{head.exception}")
-                if self.config.halt_on_exception:
-                    self.committed_exception = head.exception
-                    self.halted = f"exception: {head.exception}"
-                    return
-            if dop.is_store:
-                entry = self._store_by_id.get(head.id)
-                if entry is not None:
-                    self._drain_store(entry)
-                if self.halted:
-                    return
-            if dop.is_load:
-                load_buffer = self.load_buffer
-                if load_buffer and load_buffer[0] is head:
-                    load_buffer.pop(0)  # loads commit oldest-first
-                else:
-                    try:
-                        load_buffer.remove(head)
-                    except ValueError:
-                        pass
-            if head.dest_tag is not None:
-                self.rename.commit(head.dest_tag)
-
-            if dop.is_halt:
-                self.halted = f"halt instruction '{dop.mnemonic}' committed"
-                self.log_msg(self.halted)
-                return
-
-            if dop.is_branch:
-                correct = self.predictor.train(
-                    head.pc, bool(head.actual_taken), head.actual_target or 0,
-                    head.predicted_taken, head.predicted_target,
-                    pht_index=head.pht_index,
-                    unconditional=dop.is_unconditional)
-                if not correct:
-                    self._flush_after_mispredict(head)
-                    return
 
     def _flush_after_mispredict(self, branch: SimCode) -> None:
         """Commit-time branch recovery: flush everything younger."""
@@ -497,56 +356,6 @@ class Cpu:
         self.v_mem_units += 1
         self.v_loadq += 1
         self.v_storeb += 1
-
-    # ==================================================================
-    # memory unit: loads access the cache / main memory
-    # ==================================================================
-    def _memory_step(self) -> None:
-        cycle = self.cycle
-        # free drained stores (rebuild only when something actually drained)
-        store_buffer = self.store_buffer
-        if store_buffer:
-            drained = False
-            for e in store_buffer:
-                if e.committed and 0 <= e.drain_until <= cycle:
-                    drained = True
-                    break
-            if drained:
-                kept: List[StoreBufferEntry] = []
-                store_by_id = self._store_by_id
-                for e in store_buffer:
-                    if e.committed and 0 <= e.drain_until <= cycle:
-                        store_by_id.pop(e.simcode.id, None)
-                    else:
-                        kept.append(e)
-                self.store_buffer = kept
-                self.v_storeb += 1
-        # complete finished loads
-        for unit in self.memory_units:
-            if unit.simcode is not None and cycle >= unit.busy_until:
-                load = unit.simcode
-                unit.simcode = None
-                self.v_mem_units += 1
-                self._writeback_load(load)
-        # start new accesses
-        if not self.load_queue:
-            return
-        for unit in self.memory_units:
-            if unit.simcode is not None or not self.load_queue:
-                continue
-            load = self.load_queue[0]
-            status, value, delay = self._try_load(load)
-            if status == "wait":
-                continue  # head-of-queue blocking until older stores resolve
-            self.load_queue.pop(0)
-            self.v_loadq += 1
-            unit.simcode = load
-            unit.busy_until = cycle + max(1, delay + unit.spec.latency - 1)
-            self.v_mem_units += 1
-            load.mem_delay = delay
-            load.result = value
-            load.sver += 1
-            self.v_rob += 1
 
     def _try_load(self, load: SimCode) -> Tuple[str, object, int]:
         """Resolve a load against older stores; returns (status, value, delay).
@@ -600,15 +409,6 @@ class Cpu:
                 else struct.unpack("<d", raw)[0]
         return int.from_bytes(raw, "little", signed=dop.memory_signed)
 
-    def _writeback_load(self, load: SimCode) -> None:
-        tag = load.dest_tag
-        if tag is not None:
-            self.rename.write(tag, load.result)
-            self._wakeup_waiters(tag, load.result)
-        load.timestamps[_WRITEBACK] = self.cycle
-        load.sver += 1
-        self.v_rob += 1
-
     def _drain_store(self, entry: StoreBufferEntry) -> None:
         """Perform the architectural store at commit; model drain timing."""
         simcode = entry.simcode
@@ -628,125 +428,6 @@ class Cpu:
         entry.drain_until = self.cycle + max(1, delay)
         simcode.sver += 1
         self.v_storeb += 1
-
-    # ==================================================================
-    # execute: functional units (sub-step 1 of Sec. III-A)
-    # ==================================================================
-    def _execute_fus(self) -> None:
-        cycle = self.cycle
-        for fu in self.fus:
-            if fu.pipelined:
-                if fu.inflight:
-                    for simcode in fu.take_finished(cycle):
-                        self.v_fus += 1
-                        self._complete(simcode)
-            elif fu.simcode is not None and cycle >= fu.busy_until:
-                simcode = fu.simcode
-                fu.simcode = None
-                self.v_fus += 1
-                self._complete(simcode)
-
-    def _complete(self, simcode: SimCode) -> None:
-        dop = simcode.dop
-        cycle = self.cycle
-        simcode.timestamps[_EXECUTE] = cycle
-        simcode.sver += 1
-        self.v_rob += 1
-        if dop.fu_kind == "LS":
-            if dop.is_store:
-                entry = self._store_by_id.get(simcode.id)
-                if entry is not None:
-                    entry.address = simcode.address
-                    entry.data = simcode.store_data
-                self.v_storeb += 1
-                simcode.timestamps[_WRITEBACK] = cycle
-            else:
-                insort(self.load_queue, simcode, key=_simcode_id)
-                self.v_loadq += 1
-            return
-        # FX / FP / Branch: apply the pre-computed register result
-        tag = simcode.dest_tag
-        if tag is not None:
-            self.rename.write(tag, simcode.result)
-            self._wakeup_waiters(tag, simcode.result)
-        simcode.timestamps[_WRITEBACK] = cycle
-
-    # ==================================================================
-    # issue: windows poll operands, dispatch to free units (sub-step 2)
-    # ==================================================================
-    def _issue(self) -> None:
-        # (operand wake-up is event-driven: see _wakeup_waiters, called the
-        # moment a speculative register value is produced)
-        cycle = self.cycle
-        # windows stay id-ordered (append-only at dispatch, cleared whole on
-        # flush), so insertion order *is* oldest-first issue order
-        for class_name, window in self._window_items:
-            if not window:
-                continue
-            free_units = [
-                fu for fu in self._fus_by_kind[class_name]
-                if (fu.simcode is None if not fu.pipelined
-                    else fu.last_issue_cycle != cycle)]
-            if not free_units:
-                continue
-            issued: List[SimCode] = []
-            for simcode in window:
-                if simcode.pending_tags:
-                    continue
-                unit = self._pick_unit(free_units, simcode.dop.op_class)
-                if unit is None:
-                    continue
-                free_units.remove(unit)
-                issued.append(simcode)
-                self._start_execution(unit, simcode)
-                if not free_units:
-                    break
-            if issued:
-                self.v_windows += 1
-                for simcode in issued:
-                    window.remove(simcode)
-
-    def _wakeup_waiters(self, tag: int, value) -> None:
-        """Broadcast a freshly produced speculative register value to every
-        windowed instruction waiting on *tag* (the issue-window wake-up of
-        Sec. III-A, made event-driven: a value is captured the moment it is
-        produced instead of by per-cycle window polling)."""
-        waiters = self._tag_waiters.pop(tag, None)
-        if waiters:
-            self.v_rob += 1
-            self.v_windows += 1
-            for simcode, name in waiters:
-                simcode.operands[name] = ("val", value)
-                simcode.op_values[name] = value
-                simcode.pending_tags.pop(name, None)
-                simcode.sver += 1
-
-    @staticmethod
-    def _pick_unit(units: List[FuRuntime], op_class: str) -> Optional[FuRuntime]:
-        for fu in units:
-            ops = fu.ops_set
-            if ops is None or op_class in ops:
-                return fu
-        return None
-
-    def _start_execution(self, unit: FuRuntime, simcode: SimCode) -> None:
-        cycle = self.cycle
-        spec = unit.spec
-        latency = spec.latency_of(simcode.dop.op_class)
-        simcode.fu_name = spec.name
-        simcode.timestamps[_ISSUE] = cycle
-        finish = cycle + latency
-        unit.start(simcode, cycle, finish)
-        self.v_fus += 1
-        self.v_rob += 1
-        simcode.finish_cycle = finish
-        simcode.sver += 1
-        # Compute the architectural result now, deterministically, from the
-        # captured operand values; it becomes visible at finish time.
-        try:
-            self._evaluate(simcode)
-        except SimulationException as exc:  # pragma: no cover - defensive
-            simcode.exception = exc
 
     def _evaluate(self, simcode: SimCode) -> None:
         dop = simcode.dop
@@ -797,91 +478,6 @@ class Cpu:
         else:
             simcode.result = result
 
-    # ==================================================================
-    # dispatch: decode + rename + ROB/window allocation
-    # ==================================================================
-    def _dispatch(self) -> None:
-        fetch_buffer = self.fetch_buffer
-        rob = self.rob
-        rename = self.rename
-        cycle = self.cycle
-        stalls = self.dispatch_stalls
-        for _ in range(self._fetch_width):
-            if not fetch_buffer:
-                return
-            simcode = fetch_buffer[0]
-            dop = simcode.dop
-            error = self._dispatch_error[dop.index]
-            if error is not None:
-                self.halted = error
-                self.log_msg(error)
-                return
-            if len(rob) >= self._rob_size:
-                stalls["robFull"] += 1
-                return
-            window = self.windows[dop.fu_kind]
-            if len(window) >= self._issue_window_size:
-                stalls["windowFull"] += 1
-                return
-            if dop.is_load and len(self.load_buffer) >= self._load_buffer_size:
-                stalls["loadBufferFull"] += 1
-                return
-            if dop.is_store and len(self.store_buffer) >= self._store_buffer_size:
-                stalls["storeBufferFull"] += 1
-                return
-            needs_tag = dop.needs_tag
-            if needs_tag and rename.free_count == 0:
-                stalls["renameFull"] += 1
-                return
-
-            fetch_buffer.popleft()
-            self.v_front += 1
-            # rename sources (plumbing template pre-computed at decode)
-            operands = simcode.operands
-            op_values = simcode.op_values
-            for name, kind, payload in dop.sources:
-                if kind == SRC_REG:
-                    resolved = rename.read_source(payload)
-                    operands[name] = resolved
-                    if resolved[0] == "tag":
-                        tag = resolved[1]
-                        simcode.renamed_sources[name] = f"t{tag}"
-                        simcode.pending_tags[name] = tag
-                        waiters = self._tag_waiters.get(tag)
-                        if waiters is None:
-                            self._tag_waiters[tag] = [(simcode, name)]
-                        else:
-                            waiters.append((simcode, name))
-                    else:
-                        op_values[name] = resolved[1]
-                else:  # immediate or hardwired x0
-                    operands[name] = ("val", payload)
-                    op_values[name] = payload
-            if dop.has_dest:
-                simcode.dest_arch = dop.dest_arch
-                if needs_tag:
-                    simcode.dest_tag = rename.allocate(dop.dest_arch)
-            if dop.is_load:
-                self.load_buffer.append(simcode)
-            if dop.is_store:
-                entry = StoreBufferEntry(simcode)
-                self.store_buffer.append(entry)
-                self._store_by_id[simcode.id] = entry
-                self.v_storeb += 1
-
-            timestamps = simcode.timestamps
-            timestamps[_DECODE] = cycle
-            timestamps[_DISPATCH] = cycle
-            simcode.sver += 1
-            rob.append(simcode)
-            window.append(simcode)
-            self.v_rob += 1
-            self.v_windows += 1
-
-            if dop.is_branch:
-                if self._decode_redirect(simcode):
-                    return  # younger fetched instructions were squashed
-
     def _decode_redirect(self, simcode: SimCode) -> bool:
         """Early (decode-time) redirect for statically-computable targets."""
         dop = simcode.dop
@@ -911,72 +507,6 @@ class Cpu:
             f"decode redirect for {dop.mnemonic} at pc={simcode.pc:#x} "
             f"-> {computed:#x}")
         return True
-
-    # ==================================================================
-    # fetch
-    # ==================================================================
-    def _fetch(self) -> None:
-        cycle = self.cycle
-        if cycle < self.fetch_stall_until:
-            self.fetch_stall_cycles += 1
-            return
-        if self.fetch_past_end:
-            return
-        jumps = 0
-        capacity = self._fetch_capacity
-        fetch_buffer = self.fetch_buffer
-        decoded = self.decoded
-        instr_count = self._instr_count
-        for _ in range(self._fetch_width):
-            if len(fetch_buffer) >= capacity:
-                return
-            pc = self.pc
-            index = pc >> 2
-            if pc & 3 or index < 0 or index >= instr_count:
-                self.fetch_past_end = True
-                return
-            dop = decoded[index]
-            simcode = SimCode(self.next_id, dop.instruction, dop)
-            self.next_id += 1
-            simcode.timestamps[_FETCH] = cycle
-            fetch_buffer.append(simcode)
-            self.v_front += 1
-            if dop.is_branch:
-                taken, target, pht_index = self.predictor.predict_indexed(
-                    pc, dop.is_unconditional)
-                simcode.pht_index = pht_index
-                if taken and target is not None:
-                    simcode.predicted_taken = True
-                    simcode.predicted_target = target
-                    self.pc = target
-                    jumps += 1
-                    if jumps >= self._fetch_branch_limit:
-                        return
-                    continue
-                # predicted taken without a known target behaves as a
-                # fall-through fetch (resolved at decode or execute)
-                simcode.predicted_taken = False
-                simcode.predicted_target = None
-            self.pc = pc + 4
-
-    # ==================================================================
-    # end-of-program detection
-    # ==================================================================
-    @property
-    def pipeline_empty(self) -> bool:
-        return (not self.fetch_buffer and not self.rob
-                and not self.load_queue
-                and all(not fu.busy for fu in self.fus + self.memory_units))
-
-    def _check_end(self) -> None:
-        if self.halted:
-            return
-        if self.fetch_past_end and self.pipeline_empty:
-            self.halted = "program finished (pipeline empty)"
-            self.log_msg(self.halted)
-        elif self.cycle + 1 >= self._max_cycles:
-            self.halted = f"cycle limit reached ({self._max_cycles})"
-            self.log_msg(self.halted)
 
     # ==================================================================
     # GUI snapshots (incremental: cached per section, patched when dirty)
@@ -1228,3 +758,10 @@ class Cpu:
         # versions are monotonic, never restored: bump everything so every
         # cached payload (here and in delta-serving sessions) goes stale
         self._mark_all_sections_dirty()
+
+
+# The clock cycle (``step`` and its stage methods) is generated from the
+# stage emitters, the one definition of every pipeline stage.
+from repro.core.tracegen import compile_step, install_interpreter  # noqa: E402
+
+install_interpreter(Cpu)

@@ -4,16 +4,19 @@ Two instruments, both attached from the *outside* so the uninstrumented
 fast path is byte-for-byte untouched:
 
 * :class:`PipelineProfiler` — per-stage cycle attribution for the
-  interpreter path.  ``Cpu.step()`` calls its stage methods through
-  ``self._commit`` etc., so Python's instance-attribute shadowing lets
-  us install timing wrappers on one ``Cpu`` *instance* without touching
-  the class: a detached CPU pays nothing, not even a branch.  Timing is
-  stride-sampled (clock reads on every N-th call per stage) so the
-  attached overhead stays small and the *relative* shares stay honest.
+  interpreter path.  ``Cpu.step()`` and its stage methods are generated
+  from the stage emitters of :mod:`repro.core.tracegen` and installed on
+  the class; ``step`` calls each stage through ``cpu._commit`` etc., so
+  Python's instance-attribute shadowing lets us install timing wrappers
+  on one ``Cpu`` *instance* without touching the class: a detached CPU
+  pays nothing, not even a branch.  Timing is stride-sampled (clock
+  reads on every N-th call per stage) so the attached overhead stays
+  small and the *relative* shares stay honest.
 * :class:`ResidencyProfiler` — chunked throughput timeline for
   uninstrumented runs: drives ``cpu.run`` in cycle slices and records
   cycles/instructions/wall time per slice plus which tier served it
-  (the config-specialized step loop or the interpreter).
+  (the config-specialized step loop, where the same stages are inlined,
+  or the interpreter).
 
 Clocks are injected (``time_fn=``) for deterministic tests.  This
 module is never imported by ``explore/runner.py``'s closure, by
@@ -29,18 +32,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.core.tracegen import STAGE_METHODS
+
 __all__ = ["PipelineProfiler", "ResidencyProfiler", "PIPELINE_STAGES"]
 
 #: the six per-cycle stage methods of ``Cpu.step``, reverse pipeline
 #: order (commit first), exactly as the interpreter calls them
-PIPELINE_STAGES = (
-    "_commit",
-    "_memory_step",
-    "_execute_fus",
-    "_issue",
-    "_dispatch",
-    "_fetch",
-)
+PIPELINE_STAGES = STAGE_METHODS
 
 
 class PipelineProfiler:

@@ -48,6 +48,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_body(self) -> Optional[dict]:
+        if self.headers.get("Transfer-Encoding"):
+            # only Content-Length bodies are read: the unread chunks would
+            # be parsed as the next request, so answer and hang up
+            self.close_connection = True
+            raise ApiError("chunked request bodies are not supported: "
+                           "send a Content-Length", status=411)
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:

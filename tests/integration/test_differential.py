@@ -11,21 +11,23 @@ Two properties:
 * the trace tier's config-specialized step loop (``sim.run()``) vs the
   interpreter (``config.trace = False``), cycle-exact: same cycle count,
   same commit count, byte-identical cold snapshot, on every preset and
-  predictor kind.
+  predictor kind and on generated configurations (``random_config``).
 
 Tier-1 runs hypothesis' default example budget; the long run is
 ``pytest tests/integration/test_differential.py --hypothesis-profile=ci``
 (profile registered in ``tests/conftest.py``).
 """
 
+import copy
 import json
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CpuConfig, Simulation
+from repro import CpuConfig, FuSpec, Simulation
 from repro.asm.parser import assemble
+from repro.core.config import DEFAULT_FP_OPS, DEFAULT_FX_OPS
 from repro.isa.expression import EvalContext, Expression
 from repro.isa.instruction import ArgType, FuClass
 from repro.isa.registers import RegisterFile
@@ -291,6 +293,79 @@ def random_program(draw):
     return "top:\n    addi sp, sp, -64\n" + "\n".join(lines)
 
 
+def _units(draw, kind, count, pipelining, defaults=None):
+    """*count* units of *kind*; FX/FP units draw an op subset with their
+    own latencies, the others a flat latency.  With *pipelining* each
+    unit is pipelined or not at random."""
+    units = []
+    for i in range(count):
+        ops = {}
+        if defaults is not None:
+            for op in draw(st.lists(st.sampled_from(sorted(defaults)),
+                                    min_size=1, unique=True)):
+                ops[op] = draw(st.integers(1, 12))
+        units.append(FuSpec(kind, f"{kind}{i + 1}", operations=ops,
+                            latency=draw(st.integers(1, 3)),
+                            pipelined=pipelining and draw(st.booleans())))
+    return units
+
+
+@st.composite
+def random_config(draw, cycle_limit=False):
+    """A configuration that passes ``validate()``, with buffers small
+    enough to stall: fetch/commit width 1-4, tiny ROB, windows,
+    load/store buffers and rename file, 1-3 FX units (all alike, so issue
+    takes the uniform path, or each with its own op subset and
+    latencies), 0-2 FP, 1-2 each of LS, Branch and Memory units,
+    optionally pipelined, L1 on or off, every predictor and history kind.
+    *cycle_limit* also draws a small ``max_cycles``."""
+    config = CpuConfig(name="random")
+    buffers = config.buffers
+    buffers.fetch_width = draw(st.integers(1, 4))
+    buffers.commit_width = draw(st.integers(1, 4))
+    buffers.rob_size = draw(st.integers(1, 12))
+    buffers.issue_window_size = draw(st.integers(1, 6))
+    buffers.flush_penalty = draw(st.integers(0, 4))
+    buffers.fetch_branch_limit = draw(st.integers(0, 2))
+    memory = config.memory
+    memory.load_buffer_size = draw(st.integers(1, 4))
+    memory.store_buffer_size = draw(st.integers(1, 4))
+    memory.rename_file_size = draw(st.integers(1, 12))
+    memory.load_latency = draw(st.integers(0, 12))
+    memory.store_latency = draw(st.integers(0, 12))
+    config.cache.enabled = draw(st.booleans())
+    predictor = config.predictor
+    predictor.predictor_type = draw(st.sampled_from(["zero", "one", "two"]))
+    predictor.default_state = draw(
+        st.integers(0, 3 if predictor.predictor_type == "two" else 1))
+    predictor.use_global_history = draw(st.booleans())
+    predictor.history_bits = draw(st.integers(0, 6))
+    predictor.pht_size = draw(st.sampled_from([1, 4, 16, 64]))
+    predictor.btb_size = draw(st.sampled_from([1, 4, 64]))
+    pipelining = draw(st.booleans())
+    fx_count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # identical units: issue takes the uniform path
+        first = _units(draw, "FX", 1, pipelining, DEFAULT_FX_OPS)[0]
+        fx = [FuSpec("FX", f"FX{i + 1}", dict(first.operations),
+                     pipelined=first.pipelined) for i in range(fx_count)]
+    else:
+        fx = _units(draw, "FX", fx_count, pipelining, DEFAULT_FX_OPS)
+    # every FX op class needs some unit: an unsupported op halts dispatch
+    for op in DEFAULT_FX_OPS:
+        if not any(op in unit.operations for unit in fx):
+            fx[0].operations[op] = draw(st.integers(1, 12))
+    units = fx + _units(draw, "FP", draw(st.integers(0, 2)), pipelining,
+                        DEFAULT_FP_OPS)
+    for kind in ("LS", "Branch", "Memory"):
+        units += _units(draw, kind, draw(st.integers(1, 2)), pipelining)
+    config.fus = draw(st.permutations(units))
+    if cycle_limit and draw(st.booleans()):
+        config.max_cycles = draw(st.integers(20, 600))
+    config.validate()
+    return config
+
+
 class TestRandomPrograms:
     @settings(max_examples=30, deadline=None)
     @given(random_program())
@@ -302,15 +377,34 @@ class TestRandomPrograms:
     def test_wide_preset_matches_reference(self, source):
         compare(source, config=CpuConfig.preset("wide"))
 
+    @settings(max_examples=30, deadline=None)
+    @given(random_program(), random_config())
+    def test_random_config_matches_reference(self, source, config):
+        compare(source, config=config)
+
 
 def run_tier(source, preset, predictor, global_history, trace):
     config = CpuConfig.preset(preset)
     config.predictor.predictor_type = predictor
     config.predictor.use_global_history = global_history
+    return run_config(source, config, trace)
+
+
+def run_config(source, config, trace):
+    config = copy.deepcopy(config)
     config.trace = trace
     sim = Simulation.from_source(source, config=config)
     sim.run()
     return sim
+
+
+def assert_same_run(traced, interpreted):
+    assert traced.cpu._step_loop is not None
+    assert interpreted.cpu._step_loop is None
+    assert traced.cycle == interpreted.cycle
+    assert traced.cpu.committed == interpreted.cpu.committed
+    assert json.dumps(traced.snapshot_cold(), sort_keys=True) \
+        == json.dumps(interpreted.snapshot_cold(), sort_keys=True)
 
 
 class TestStepLoopParity:
@@ -331,3 +425,10 @@ class TestStepLoopParity:
         assert traced.cpu.committed == interpreted.cpu.committed
         assert json.dumps(traced.snapshot_cold(), sort_keys=True) \
             == json.dumps(interpreted.snapshot_cold(), sort_keys=True)
+
+    @settings(deadline=None)
+    @given(random_program(), random_config(cycle_limit=True))
+    def test_step_loop_matches_interpreter_on_random_configs(self, source,
+                                                             config):
+        assert_same_run(run_config(source, config, True),
+                        run_config(source, config, False))

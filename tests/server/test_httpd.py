@@ -128,6 +128,39 @@ class TestHostileBodies:
         assert client.session_step(sid, 1)["state"]["cycle"] == 1
         assert client.session_close(sid)["success"]
 
+    def test_chunked_body_is_refused_with_411(self, server, client):
+        """Only Content-Length bodies are read.  A chunked one gets a JSON
+        411 and a closed connection, instead of being served as an empty
+        body with its chunk lines then parsed as a second request."""
+        body = json.dumps({"code": DEFAULT_PROGRAMS[0]}).encode()
+        sock = socket.create_connection(("127.0.0.1", server.port),
+                                        timeout=5)
+        try:
+            sock.sendall(b"POST /session/new HTTP/1.1\r\nHost: test\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+            raw = b""
+            while True:                 # to EOF: the server hangs up
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                raw += chunk
+        finally:
+            sock.close()
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("ascii").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line.split()[1] == "411"
+        assert headers["Connection"] == "close"
+        length = int(headers["Content-Length"])
+        data = json.loads(rest[:length])
+        assert data["status"] == 411 and "Content-Length" in data["error"]
+        assert rest[length:] == b""     # exactly one reply
+        assert client.health()["status"] == "ok"
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
+
 
 class TestGzip:
     def _raw_request(self, server, accept_gzip):
