@@ -8,15 +8,16 @@ removes unnecessary directives, labels, and data."*
 The filter keeps instructions, data-defining directives and any label that
 is actually referenced; purely administrative directives (``.globl``,
 ``.type``, ``.size``, ``.file`` ...) and unreferenced local labels are
-dropped.
+dropped.  Each line is lexed once: the same tokens find the referenced
+labels and decide what to keep, and a kept line's text is sliced from the
+source line at its tokens' columns (``/* */`` comments blanked to spaces).
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, Set
+from typing import List, Optional, Set
 
-from repro.asm.lexer import TokenKind, strip_block_comments, tokenize_line
+from repro.asm.lexer import Token, TokenKind, strip_block_comments, tokenize_line
 from repro.errors import AsmSyntaxError
 
 _DROP_DIRECTIVES = {
@@ -31,13 +32,9 @@ _KEEP_DIRECTIVES = {
 }
 
 
-def _referenced_symbols(lines: List[str]) -> Set[str]:
+def _referenced_symbols(lexed: List[Optional[List[Token]]]) -> Set[str]:
     refs: Set[str] = set()
-    for line_no, text in enumerate(lines, start=1):
-        try:
-            tokens = tokenize_line(text, line_no)
-        except AsmSyntaxError:
-            continue
+    for tokens in filter(None, lexed):
         started = False
         for tok in tokens:
             if tok.kind is TokenKind.LABEL_DEF:
@@ -51,52 +48,44 @@ def _referenced_symbols(lines: List[str]) -> Set[str]:
     return refs
 
 
+def _lex(text: str, line_no: int) -> Optional[List[Token]]:
+    try:
+        return tokenize_line(text, line_no)
+    except AsmSyntaxError:
+        return None
+
+
 def filter_assembly(source: str) -> str:
     """Return a cleaned-up version of compiler-emitted assembly."""
-    text = strip_block_comments(source)
-    lines = text.split("\n")
-    refs = _referenced_symbols(lines)
+    lines = strip_block_comments(source).split("\n")
+    lexed = [_lex(raw, line_no) for line_no, raw in enumerate(lines, start=1)]
+    refs = _referenced_symbols(lexed)
     out: List[str] = []
-    for line_no, raw in enumerate(lines, start=1):
-        try:
-            tokens = tokenize_line(raw, line_no)
-        except AsmSyntaxError:
+    for raw, tokens in zip(lines, lexed):
+        if tokens is None:
             # untokenizable operands (e.g. `.size main, .-main`): drop the
             # line when it is an administrative directive, else keep it
             first = raw.strip().split(None, 1)[0] if raw.strip() else ""
             if first not in _DROP_DIRECTIVES:
                 out.append(raw)
             continue
-        if not tokens:
-            continue
-        kept_parts: List[str] = []
         pos = 0
         while pos < len(tokens) and tokens[pos].kind is TokenKind.LABEL_DEF:
-            name = tokens[pos].value
-            # Keep referenced labels and conventional function labels.
-            if name in refs or not re.match(r"^\.L", name):
-                kept_parts.append(f"{name}:")
             pos += 1
-        if pos >= len(tokens):
-            if kept_parts:
-                out.append(" ".join(kept_parts))
+        # Keep referenced labels and conventional function labels.
+        kept = " ".join(f"{tok.value}:" for tok in tokens[:pos]
+                        if tok.value in refs or not tok.value.startswith(".L"))
+        head = tokens[pos] if pos < len(tokens) else None
+        if head is None or (head.kind is TokenKind.DIRECTIVE
+                            and head.value not in _KEEP_DIRECTIVES):
+            # labels alone, or an administrative directive: keep the labels
+            if kept:
+                out.append(kept)
             continue
-        head = tokens[pos]
-        if head.kind is TokenKind.DIRECTIVE:
-            if head.value in _DROP_DIRECTIVES:
-                if kept_parts:
-                    out.append(" ".join(kept_parts))
-                continue
-            if head.value not in _KEEP_DIRECTIVES:
-                # Unknown administrative directive: drop it but keep labels.
-                if kept_parts:
-                    out.append(" ".join(kept_parts))
-                continue
         body = raw[head.column - 1:].rstrip()
-        if kept_parts:
-            out.append(" ".join(kept_parts) + "\n    " + body
-                       if head.kind is not TokenKind.DIRECTIVE
-                       else " ".join(kept_parts) + " " + body)
+        if kept:
+            out.append(kept + (" " if head.kind is TokenKind.DIRECTIVE
+                               else "\n    ") + body)
         else:
             indent = "" if head.kind is TokenKind.DIRECTIVE and head.value in (
                 ".text", ".data", ".rodata") else "    "

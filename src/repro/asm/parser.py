@@ -1,20 +1,22 @@
 """Two-pass assembler (Sec. III-C).
 
-Pass 1 tokenizes, expands pseudo-instructions, collects instructions and
-data directives, and binds labels to instruction addresses / data offsets.
-Memory allocation runs *between* the passes (call stack first, then
-memory-settings arrays, then the program's data directives), after which all
-label values are known.  Pass 2 resolves every operand, evaluating
-arithmetic expressions (``lla x4, arr+64``) and converting branch targets to
-PC-relative offsets.
+Pass 1 tokenizes each source line once, expands pseudo-instructions on
+those tokens, collects instructions and data directives (no directive may
+grow the data segment past ``MAX_CAPACITY``), and binds labels to
+instruction addresses / data offsets.  Memory allocation runs *between* the
+passes (call stack first, then memory-settings arrays, then the program's
+data directives), after which all label values are known.  Pass 2 resolves
+every operand from its source tokens, evaluating arithmetic expressions
+(``lla x4, arr+64``) and converting branch targets to PC-relative offsets,
+so every error carries the source line and column of its token.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.asm.exprs import evaluate_operand
+from repro.asm.exprs import evaluate_operand, try_literal
 from repro.asm.lexer import Token, TokenKind, strip_block_comments, tokenize_line
 from repro.asm.program import DataSymbol, ParsedInstruction, Program
 from repro.asm.pseudo import expand_pseudo
@@ -22,6 +24,7 @@ from repro.errors import AsmSyntaxError
 from repro.isa.instruction import ArgType, InstructionDef
 from repro.isa.isa import InstructionSet, default_instruction_set
 from repro.isa.registers import canonical_fp_reg, canonical_int_reg
+from repro.memory.main_memory import MAX_CAPACITY
 
 _DATA_DIRECTIVES = {
     ".byte": 1, ".hword": 2, ".half": 2, ".2byte": 2,
@@ -39,19 +42,15 @@ _SHAMT = {"slli", "srli", "srai"}
 _IMM20 = {"lui", "auipc"}
 
 
-class _RawInstruction:
+class _RawInstruction(NamedTuple):
     """Pass-1 record of one (already pseudo-expanded) instruction."""
 
-    __slots__ = ("definition", "groups", "line", "column", "text", "c_line")
-
-    def __init__(self, definition: InstructionDef, groups: List[List[Token]],
-                 line: int, column: int, text: str, c_line: int):
-        self.definition = definition
-        self.groups = groups
-        self.line = line
-        self.column = column
-        self.text = text
-        self.c_line = c_line
+    definition: InstructionDef
+    groups: List[List[Token]]
+    line: int
+    column: int
+    text: str
+    c_line: int
 
 
 class Assembler:
@@ -108,8 +107,7 @@ class Assembler:
 
             if head.kind is TokenKind.DIRECTIVE:
                 current_c_line = self._directive(
-                    head, rest, line_text,
-                    pending_labels, code_labels, data_labels,
+                    head, rest, pending_labels, code_labels, data_labels,
                     data_chunks, data_fixups, data_label_order, equs,
                     current_c_line,
                 )
@@ -128,19 +126,15 @@ class Assembler:
                 code_labels[name] = len(raw_instrs) * 4
             pending_labels.clear()
 
-            groups = _split_operands(rest)
-            operand_strings = [_group_text(line_text, g) for g in groups]
-            expanded = expand_pseudo(head.value, operand_strings,
-                                     head.line, head.column)
-            for mnemonic, op_strs in expanded:
+            text = line_text.strip()
+            for mnemonic, groups in expand_pseudo(head, _split_operands(rest)):
                 definition = self.iset.get(mnemonic)
                 if definition is None:
                     raise AsmSyntaxError(
                         f"unknown instruction '{mnemonic}'", head.line, head.column)
-                new_groups = [tokenize_line(s, head.line) for s in op_strs]
                 raw_instrs.append(_RawInstruction(
-                    definition, new_groups, head.line, head.column,
-                    line_text.strip(), current_c_line))
+                    definition, groups, head.line, head.column, text,
+                    current_c_line))
 
         for name, tok in pending_labels:  # trailing labels bind past the end
             code_labels[name] = len(raw_instrs) * 4
@@ -184,10 +178,10 @@ class Assembler:
 
         # ---------------- pass 2 -------------------------------------
         for name, expr_tokens in equs:
-            labels[name] = int(evaluate_operand(expr_tokens, labels))
+            labels[name] = _operand_value(expr_tokens, labels)
 
         for offset, size, expr_tokens in data_fixups:
-            value = int(evaluate_operand(expr_tokens, labels))
+            value = _operand_value(expr_tokens, labels)
             pos = (data_start - base) + offset
             program.data[pos:pos + size] = (value & ((1 << (8 * size)) - 1)) \
                 .to_bytes(size, "little")
@@ -218,7 +212,7 @@ class Assembler:
         return pc
 
     # ------------------------------------------------------------------
-    def _directive(self, head: Token, rest: List[Token], line_text: str,
+    def _directive(self, head: Token, rest: List[Token],
                    pending_labels, code_labels, data_labels,
                    data_chunks: bytearray, data_fixups, data_label_order,
                    equs, current_c_line: int) -> int:
@@ -240,13 +234,11 @@ class Assembler:
         if name in _IGNORED_DIRECTIVES:
             return current_c_line
         if name == ".loc":  # C<->assembly line link: ".loc <file> <line>"
-            ints = [t for g in groups for t in g
+            ints = [t.value for g in groups for t in g
                     if t.kind is TokenKind.INTEGER]
             if len(ints) >= 2:
-                return int(ints[1].value)
-            if ints:
-                return int(ints[0].value)
-            return current_c_line
+                return ints[1]
+            return ints[0] if ints else current_c_line
 
         if name in (".equ", ".set"):
             if len(groups) != 2 or len(groups[0]) != 1 \
@@ -256,18 +248,22 @@ class Assembler:
             equs.append((groups[0][0].value, groups[1]))
             return current_c_line
 
-        if name in (".align", ".p2align"):
+        if name in (".align", ".p2align", ".balign"):
             bind_labels("align")
-            power = _const_operand(groups, head)
-            alignment = 1 << power
-            pad = _align(len(data_chunks), alignment) - len(data_chunks)
-            data_chunks.extend(b"\x00" * pad)
-            return current_c_line
-        if name == ".balign":
-            bind_labels("align")
-            alignment = _const_operand(groups, head)
-            pad = _align(len(data_chunks), max(1, alignment)) - len(data_chunks)
-            data_chunks.extend(b"\x00" * pad)
+            value = _const_operand(groups, head)
+            if name == ".balign":
+                alignment = max(1, value)
+            elif value < 0:
+                raise AsmSyntaxError(f"negative alignment in {name}",
+                                     head.line, head.column)
+            else:
+                # past MAX_CAPACITY's bit length any alignment pads a
+                # non-empty segment beyond MAX_CAPACITY: no need to build
+                # a huge power of two to refuse it
+                alignment = 1 << min(value, MAX_CAPACITY.bit_length())
+            _zero_fill(data_chunks,
+                       _align(len(data_chunks), alignment) - len(data_chunks),
+                       head)
             return current_c_line
 
         if name in (".skip", ".zero", ".space"):
@@ -276,7 +272,7 @@ class Assembler:
             if count < 0:
                 raise AsmSyntaxError(f"negative size in {name}",
                                      head.line, head.column)
-            data_chunks.extend(b"\x00" * count)
+            _zero_fill(data_chunks, count, head)
             return current_c_line
 
         if name in (".ascii", ".asciiz", ".string"):
@@ -285,32 +281,34 @@ class Assembler:
                 if len(group) != 1 or group[0].kind is not TokenKind.STRING:
                     raise AsmSyntaxError(f"{name} expects string literal(s)",
                                          head.line, head.column)
-                data_chunks.extend(group[0].value.encode("latin-1"))
+                try:
+                    data_chunks.extend(group[0].value.encode("latin-1"))
+                except UnicodeEncodeError:
+                    raise AsmSyntaxError(
+                        f"{name} string has a character beyond latin-1",
+                        group[0].line, group[0].column) from None
                 if name in (".asciiz", ".string"):
                     data_chunks.append(0)
             return current_c_line
 
-        if name == ".float":
-            bind_labels("float")
+        if name in (".float", ".double"):
+            bind_labels(name[1:])
+            fmt = "<f" if name == ".float" else "<d"
             for group in groups:
-                value = _float_operand(group, head)
-                data_chunks.extend(struct.pack("<f", value))
-            return current_c_line
-        if name == ".double":
-            bind_labels("double")
-            for group in groups:
-                value = _float_operand(group, head)
-                data_chunks.extend(struct.pack("<d", value))
+                packed = _operand_value(
+                    group, cast=lambda v: struct.pack(fmt, float(v)))
+                if packed is None:
+                    raise AsmSyntaxError(
+                        f"'{name}' operand must be a numeric constant",
+                        head.line, head.column)
+                data_chunks.extend(packed)
             return current_c_line
 
         if name in _DATA_DIRECTIVES:
             size = _DATA_DIRECTIVES[name]
             bind_labels(name.lstrip("."))
             for group in groups:
-                if not group:
-                    raise AsmSyntaxError(f"empty operand in {name}",
-                                         head.line, head.column)
-                literal = _maybe_int(group)
+                literal = _operand_value(group)
                 if literal is None:
                     data_fixups.append((len(data_chunks), size, group))
                     data_chunks.extend(b"\x00" * size)
@@ -329,26 +327,23 @@ class Assembler:
         groups = raw.groups
         args = definition.arguments
 
-        if definition.mem_operand:
+        # loads/stores, and jalr's 'rd, offset(base)' form
+        if definition.mem_operand or (
+                definition.name == "jalr" and len(groups) == 2
+                and any(t.kind is TokenKind.LPAREN for t in groups[1])):
             if len(groups) != 2:
                 raise AsmSyntaxError(
                     f"'{definition.name}' expects 'reg, offset(base)'",
                     raw.line, raw.column)
-            reg = _register_operand(groups[0], args[0])
+            values = {args[0].name: _register_operand(groups[0], args[0])}
             offset_tokens, base_reg = _split_mem_operand(groups[1])
-            imm_val = int(evaluate_operand(offset_tokens, labels)) if offset_tokens else 0
-            base = _register_operand([base_reg], args[2]) if base_reg else "x0"
-            self._check_imm_range(definition.name, imm_val, raw)
-            return {args[0].name: reg, "imm": imm_val, "rs1": base}
-
-        # jalr also accepts the 'rd, offset(base)' form
-        if definition.name == "jalr" and len(groups) == 2 \
-                and any(t.kind is TokenKind.LPAREN for t in groups[1]):
-            reg = _register_operand(groups[0], args[0])
-            offset_tokens, base_reg = _split_mem_operand(groups[1])
-            imm_val = int(evaluate_operand(offset_tokens, labels)) if offset_tokens else 0
-            base = _register_operand([base_reg], args[1]) if base_reg else "x0"
-            return {"rd": reg, "rs1": base, "imm": imm_val}
+            values["imm"] = _operand_value(offset_tokens, labels) \
+                if offset_tokens else 0
+            rs1 = next(arg for arg in args if arg.name == "rs1")
+            values["rs1"] = _register_operand([base_reg], rs1) if base_reg else "x0"
+            if definition.mem_operand:
+                self._check_imm_range(definition.name, values["imm"], raw)
+            return {arg.name: values[arg.name] for arg in args}
 
         if len(groups) != len(args):
             raise AsmSyntaxError(
@@ -359,14 +354,10 @@ class Assembler:
         for arg, group in zip(args, groups):
             if arg.is_register:
                 operands[arg.name] = _register_operand(group, arg)
-            elif arg.type is ArgType.LABEL:
-                value = int(evaluate_operand(group, labels))
-                offset = value - pc
-                self._check_imm_range(definition.name, offset, raw, branch=True)
-                operands[arg.name] = offset
-            else:
-                value = int(evaluate_operand(group, labels))
-                self._check_imm_range(definition.name, value, raw)
+            else:  # an immediate, or a branch target made PC-relative
+                branch = arg.type is ArgType.LABEL
+                value = _operand_value(group, labels) - (pc if branch else 0)
+                self._check_imm_range(definition.name, value, raw, branch)
                 operands[arg.name] = value
         return operands
 
@@ -410,95 +401,78 @@ def _split_operands(tokens: List[Token]) -> List[List[Token]]:
         elif tok.kind is TokenKind.RPAREN:
             depth -= 1
         if tok.kind is TokenKind.COMMA and depth == 0:
+            if not current:
+                raise AsmSyntaxError("empty operand (stray comma)",
+                                     tok.line, tok.column)
             groups.append(current)
             current = []
         else:
             current.append(tok)
-    if current or groups:
+    if current:
         groups.append(current)
-    return [g for g in groups if g] if not any(not g for g in groups) else _reject_empty(groups, tokens)
-
-
-def _reject_empty(groups: List[List[Token]], tokens: List[Token]) -> List[List[Token]]:
-    tok = tokens[0] if tokens else None
-    raise AsmSyntaxError("empty operand (stray comma)",
-                         tok.line if tok else 0, tok.column if tok else 0)
-
-
-def _group_text(line_text: str, group: List[Token]) -> str:
-    """Original source substring covered by an operand token group."""
-    start = group[0].column - 1
-    last = group[-1]
-    end = last.column - 1 + len(last.text)
-    return line_text[start:end]
+    elif groups:  # a trailing comma
+        raise AsmSyntaxError("empty operand (stray comma)",
+                             tokens[-1].line, tokens[-1].column)
+    return groups
 
 
 def _register_operand(group: List[Token], arg) -> str:
-    if len(group) != 1 or group[0].kind is not TokenKind.SYMBOL:
-        tok = group[0]
+    tok = group[0]
+    if len(group) != 1 or tok.kind is not TokenKind.SYMBOL:
         raise AsmSyntaxError(
             f"expected register for '{arg.name}'", tok.line, tok.column)
-    tok = group[0]
-    if arg.type is ArgType.FLOAT:
-        reg = canonical_fp_reg(tok.value)
-        if reg is None:
-            raise AsmSyntaxError(
-                f"expected floating-point register, found '{tok.value}'",
-                tok.line, tok.column)
-        return reg
-    reg = canonical_int_reg(tok.value)
+    fp = arg.type is ArgType.FLOAT
+    reg = canonical_fp_reg(tok.value) if fp else canonical_int_reg(tok.value)
     if reg is None:
         raise AsmSyntaxError(
-            f"expected integer register, found '{tok.value}'",
-            tok.line, tok.column)
+            f"expected {'floating-point' if fp else 'integer'} register, "
+            f"found '{tok.value}'", tok.line, tok.column)
     return reg
 
 
 def _split_mem_operand(group: List[Token]):
     """Split ``offset(base)`` into (offset tokens, base register token)."""
-    if group and group[-1].kind is TokenKind.RPAREN:
-        depth = 0
-        for i in range(len(group) - 1, -1, -1):
-            if group[i].kind is TokenKind.RPAREN:
-                depth += 1
-            elif group[i].kind is TokenKind.LPAREN:
-                depth -= 1
-                if depth == 0:
-                    inside = group[i + 1:-1]
-                    if len(inside) == 1 and inside[0].kind is TokenKind.SYMBOL \
-                            and (canonical_int_reg(inside[0].value)
-                                 or canonical_fp_reg(inside[0].value)):
-                        return group[:i], inside[0]
-                    break
+    if len(group) >= 3 and group[-3].kind is TokenKind.LPAREN \
+            and group[-2].kind is TokenKind.SYMBOL \
+            and group[-1].kind is TokenKind.RPAREN \
+            and (canonical_int_reg(group[-2].value)
+                 or canonical_fp_reg(group[-2].value)):
+        return group[:-3], group[-2]
     return group, None
+
+
+def _zero_fill(data_chunks: bytearray, count: int, head: Token) -> None:
+    """Append *count* zero bytes, refusing (before allocating them) to
+    grow the data segment past :data:`MAX_CAPACITY`."""
+    if len(data_chunks) + count > MAX_CAPACITY:
+        raise AsmSyntaxError(
+            f"'{head.value}' would grow the data segment past "
+            f"{MAX_CAPACITY} bytes", head.line, head.column)
+    data_chunks.extend(bytes(count))
 
 
 def _const_operand(groups: List[List[Token]], head: Token) -> int:
     if len(groups) != 1:
         raise AsmSyntaxError(f"'{head.value}' expects one constant operand",
                              head.line, head.column)
-    value = _maybe_int(groups[0])
+    value = _operand_value(groups[0])
     if value is None:
         raise AsmSyntaxError(f"'{head.value}' operand must be a constant",
                              head.line, head.column)
     return value
 
 
-def _float_operand(group: List[Token], head: Token) -> float:
-    from repro.asm.exprs import try_literal
-    value = try_literal(group)
-    if value is None:
-        raise AsmSyntaxError(f"'{head.value}' operand must be a numeric constant",
-                             head.line, head.column)
-    return float(value)
-
-
-def _maybe_int(group: List[Token]) -> Optional[int]:
-    from repro.asm.exprs import try_literal
-    value = try_literal(group)
-    if value is None or isinstance(value, float):
-        return None if value is None else int(value)
-    return int(value)
+def _operand_value(group: List[Token],
+                   labels: Optional[Dict[str, int]] = None, cast=int):
+    """*group*'s value passed through *cast*.  Without *labels* (pass 1)
+    an operand that names a label has no value yet: ``None``."""
+    try:
+        value = try_literal(group) if labels is None \
+            else evaluate_operand(group, labels)
+        return None if value is None else cast(value)
+    except (OverflowError, ValueError):  # inf/nan, or an int past float range
+        raise AsmSyntaxError("operand value out of range",
+                             group[0].line, group[0].column) from None
 
 
 def assemble(source: str, entry: Optional[object] = None,

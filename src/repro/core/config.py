@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.memory.cache import CacheConfig
+from repro.memory.main_memory import MAX_CAPACITY
 from repro.predictor.unit import PredictorConfig
 
 #: default per-operation latencies for FX units
@@ -173,8 +174,8 @@ class MemoryConfig:
     rename_file_size: int = 32
 
     def validate(self) -> None:
-        if self.capacity <= 0:
-            raise ConfigError("memory capacity must be positive")
+        if not 0 < self.capacity <= MAX_CAPACITY:
+            raise ConfigError(f"memory capacity must be 1..{MAX_CAPACITY} bytes")
         if self.call_stack_size < 0 or self.call_stack_size > self.capacity:
             raise ConfigError("call stack size must fit in memory")
         for attr in ("load_buffer_size", "store_buffer_size", "rename_file_size"):

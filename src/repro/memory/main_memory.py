@@ -18,6 +18,11 @@ from repro.memory.transaction import MemoryTransaction
 Number = Union[int, float]
 
 
+#: the largest memory one simulation may configure, and so the largest data
+#: segment a program may declare (256x the 64 KiB default): a request can
+#: make the server allocate no more than this per simulated machine
+MAX_CAPACITY = 16 * 1024 * 1024
+
 #: checkpoint page granularity (bytes, power of two): small enough that a
 #: store-heavy loop touches few pages, large enough that the per-page
 #: bookkeeping stays negligible (64 KiB -> 64 pages)

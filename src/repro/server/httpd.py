@@ -35,6 +35,25 @@ _GZIP_THRESHOLD = 256
 #: longest wait for the rest of a request body; a client that declares
 #: more bytes than it sends gets a 408 instead of pinning the thread
 BODY_READ_TIMEOUT_S = 10.0
+#: largest request body, as sent and (gzip bodies) as inflated: a larger
+#: one gets a 413, and a declared length past it is not read at all
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+def _gunzip(data: bytes) -> bytes:
+    """Inflate every member of a gzip body, refusing (with a 413) to
+    produce more than :data:`MAX_BODY_BYTES`."""
+    out = bytearray()
+    while data:
+        inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        out += inflater.decompress(data, MAX_BODY_BYTES + 1 - len(out))
+        if len(out) > MAX_BODY_BYTES:
+            raise ApiError(f"gzip request body inflates past "
+                           f"{MAX_BODY_BYTES} bytes", status=413)
+        if not inflater.eof:
+            raise EOFError("gzip request body ends mid-stream")
+        data = inflater.unused_data
+    return bytes(out)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -65,6 +84,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError("invalid Content-Length header")
         if length == 0:
             return None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            raise ApiError(f"request body of {length} bytes exceeds "
+                           f"{MAX_BODY_BYTES}", status=413)
         # bound the body read only: the idle wait for the next request on
         # a keep-alive connection keeps the socket's own timeout
         idle_timeout = self.connection.gettimeout()
@@ -80,11 +103,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.connection.settimeout(idle_timeout)
         try:
             if self.headers.get("Content-Encoding", "") == "gzip":
-                raw = gzip.decompress(raw)
-            # UnicodeDecodeError and JSONDecodeError are ValueErrors;
-            # a corrupt gzip stream raises OSError/EOFError/zlib.error
+                raw = _gunzip(raw)
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors; a
+            # corrupt gzip stream raises zlib.error, a truncated one EOFError
             payload = json.loads(raw.decode("utf-8")) if raw else None
-        except (ValueError, OSError, EOFError, zlib.error) as exc:
+        except (ValueError, EOFError, zlib.error) as exc:
             raise ApiError(f"invalid request body: {exc}") from exc
         if payload is not None and not isinstance(payload, dict):
             raise ApiError("request body must be a JSON object")

@@ -106,7 +106,8 @@ MAX_STEP_CYCLES = 100_000
 
 #: fallback upper bound for an absolute seek target; the effective bound
 #: is the session's own ``max_cycles`` budget (the simulation halts there,
-#: so any larger target would only pin a worker replaying a halted machine)
+#: so any larger target would only pin a worker replaying a halted machine).
+#: It also caps the cycle budget of one ``/simulate`` run
 MAX_SEEK_CYCLE = 10_000_000
 
 
@@ -298,10 +299,16 @@ class Api:
         code = payload.get("code")
         if not isinstance(code, str):
             raise ApiError("'code' (assembly string) is required")
-        config = _parse_config(payload)
+        config = _parse_config(payload) or CpuConfig()
         max_cycles = payload.get("maxCycles")
         if max_cycles is not None:
             max_cycles = self._parse_int(payload, "maxCycles")
+        # the run halts at the smaller budget, on this connection's thread
+        budget = config.max_cycles if max_cycles is None \
+            else min(config.max_cycles, max_cycles)
+        if budget > MAX_SEEK_CYCLE:
+            raise ApiError(f"cycle budget {budget} exceeds {MAX_SEEK_CYCLE}: "
+                           f"lower maxCycles or config.maxCycles")
         from repro.sim.simulation import Simulation
         try:
             simulation = Simulation.from_source(
@@ -329,6 +336,8 @@ class Api:
                 memory_locations=_parse_memory_locations(payload))
         except SourceError as exc:
             return {"success": False, "errors": [exc.to_json()]}
+        except ReproError as exc:  # e.g. a ConfigError from validation
+            raise ApiError(str(exc)) from exc
         return {"success": True, "sessionId": session.id}
 
     def _session(self, payload: dict):

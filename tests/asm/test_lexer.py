@@ -1,5 +1,7 @@
 """Assembly tokenizer tests."""
 
+import time
+
 import pytest
 
 from repro.asm.lexer import (
@@ -76,6 +78,30 @@ class TestTokenKinds:
         assert tokens[0].line == 3
         assert tokens[0].column == 3
 
+    @pytest.mark.parametrize("text,column", [
+        ("addi a0, x0, 017", 14), (".word 09", 7), (".word 1, 0777", 10)])
+    def test_leading_zero_integer_raises_at_the_literal(self, text, column):
+        """GNU as reads '017' as octal: refuse it rather than guess."""
+        with pytest.raises(AsmSyntaxError, match="leading zero") as info:
+            tokenize_line(text, 4)
+        assert (info.value.line, info.value.column) == (4, column)
+
+    def test_overlong_integer_raises_at_the_literal(self):
+        with pytest.raises(AsmSyntaxError, match="too long") as info:
+            tokenize_line(".word " + "1" * 5000, 2)
+        assert (info.value.line, info.value.column) == (2, 7)
+
+    def test_zero_and_radix_literals_still_lex(self):
+        tokens = tokenize_line(".word 0, 00, 0x0F, 0b0", 1)
+        assert [t.value for t in tokens if t.kind is TokenKind.INTEGER] == \
+            [0, 0, 15, 0]
+
+    def test_long_whitespace_lexes_in_linear_time(self):
+        started = time.perf_counter()
+        tokens = tokenize_line("nop" + " " * 200_000, 1)
+        assert len(tokens) == 1
+        assert time.perf_counter() - started < 1.0
+
     def test_unexpected_character_raises_with_position(self):
         with pytest.raises(AsmSyntaxError) as info:
             tokenize_line("add x1, @", 7)
@@ -107,3 +133,10 @@ class TestBlockComments:
 
     def test_unterminated_comment_swallows_rest(self):
         assert strip_block_comments("a /* b").startswith("a ")
+
+    def test_comments_become_spaces_so_columns_are_the_sources(self):
+        source = "/* c */ addi a0, x0, 1 /* two\nlines */ # x"
+        stripped = strip_block_comments(source)
+        assert stripped == " " * 7 + " addi a0, x0, 1 " + " " * 6 + "\n" \
+            + " " * 8 + " # x"
+        assert tokenize_line(stripped.split("\n")[0], 1)[0].column == 9

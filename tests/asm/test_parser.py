@@ -1,10 +1,13 @@
 """Two-pass assembler tests: directives, labels, layout, expressions, errors."""
 
+import tracemalloc
+
 import pytest
 
 from repro.asm.parser import Assembler, assemble
 from repro.errors import AsmSyntaxError
 from repro.memory.layout import MemoryLocation
+from repro.memory.main_memory import MAX_CAPACITY
 from tests.conftest import run_asm
 
 
@@ -284,6 +287,90 @@ class TestErrors:
             assert "bad_instr" in payload["message"]
         else:
             pytest.fail("expected AsmSyntaxError")
+
+
+class TestSourcePositions:
+    """Errors carry the source's line and column, also in operands that a
+    pseudo-instruction moved or wrapped and after a block comment."""
+
+    @pytest.mark.parametrize("source,column", [
+        ("    add x1, x2, 5", 17),
+        ("    lw x1, 4(q9)", 13),
+        ("    li x5, bogus+", 12),
+        ("/* c */ addi a0, x0, q", 22),
+        ("    bgt a0, q9, out\nout: nop", 13),   # swapped by the expansion
+        ("    la a0, nowhere+4", 12),              # inside %hi(...)
+        ("    add x1,, x3", 12),                   # the stray comma
+    ])
+    def test_error_column(self, source, column):
+        with pytest.raises(AsmSyntaxError) as info:
+            assemble(source)
+        assert (info.value.line, info.value.column) == (1, column)
+
+
+class TestDataSegmentBound:
+    """No data directive grows the data segment past MAX_CAPACITY; the
+    refusal comes before the bytes are allocated."""
+
+    @pytest.mark.parametrize("source", [
+        ".byte 1\n.skip 4000000000", ".byte 1\n.zero 4000000000",
+        ".byte 1\n.space 4000000000", ".byte 1\n.align 32",
+        ".byte 1\n.p2align 2048", ".byte 1\n.balign 4000000000",
+    ], ids=lambda source: source.split()[2])
+    def test_refused_before_allocating(self, source):
+        tracemalloc.start()
+        try:
+            with pytest.raises(AsmSyntaxError, match="data segment") as info:
+                assemble(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == 2
+        assert peak < 1 << 20
+
+    def test_up_to_the_bound_is_allowed(self):
+        program = assemble(f".byte 1\n.skip {MAX_CAPACITY - 1}")
+        assert len(program.data) >= MAX_CAPACITY
+        with pytest.raises(AsmSyntaxError):
+            assemble(f".byte 1\n.skip {MAX_CAPACITY}")
+
+    def test_alignment_of_an_empty_segment_is_free(self):
+        assert len(assemble(".p2align 2048\n.align 64").data) == 0
+
+    def test_negative_alignment_raises(self):
+        with pytest.raises(AsmSyntaxError, match="negative alignment"):
+            assemble(".align -1")
+
+
+class TestRobustOperands:
+    """Values no encoding can hold are syntax errors, not crashes."""
+
+    @pytest.mark.parametrize("source", [
+        ".float 1.0e300", ".float " + "9" * 400, ".word 1.0e300*1.0e300",
+        "addi a0, x0, 1.0e300*1.0e300", '.ascii "\u20ac"'])
+    def test_out_of_range_value(self, source):
+        with pytest.raises(AsmSyntaxError) as info:
+            assemble(source)
+        assert info.value.line == 1
+
+    def test_float_infinity_still_assembles(self):
+        program = assemble(".float 1.0e400")
+        assert bytes(program.data[-4:]) == b"\x00\x00\x80\x7f"
+
+
+class TestLexOnceChanges:
+    """The two deliberate differences from re-lexing operand strings."""
+
+    @pytest.mark.parametrize("operand", ["1_000", "0o17", "0x_1F"])
+    def test_li_operand_only_python_int_accepted(self, operand):
+        # once read by int(); as tokens it is a number followed by a symbol
+        with pytest.raises(AsmSyntaxError):
+            assemble(f"li a0, {operand}")
+
+    def test_inline_comment_keeps_its_width_in_source_text(self):
+        program = assemble("addi a0, /* c */ x0, 1")
+        assert program.instructions[0].source_text == \
+            "addi a0,         x0, 1"
 
 
 class TestStaticMix:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.asm.pseudo import expand_pseudo, hi_lo
+from repro.asm.parser import assemble
+from repro.asm.pseudo import hi_lo
 from repro.errors import AsmSyntaxError
 from tests.conftest import run_asm
 
@@ -28,48 +29,53 @@ class TestHiLo:
 
 
 class TestExpansionShapes:
+    """Each pseudo assembles to its base instructions: source operands
+    reordered, constants added (checked on the assembled program)."""
+
+    @staticmethod
+    def rendered(source):
+        return [ins.render() for ins in assemble(source).instructions]
+
     def test_nop(self):
-        assert expand_pseudo("nop", []) == [("addi", ["x0", "x0", "0"])]
+        assert self.rendered("nop") == ["addi x0, x0, 0"]
 
     def test_li_small(self):
-        assert expand_pseudo("li", ["a0", "42"]) == [("addi", ["a0", "x0", "42"])]
+        assert self.rendered("li a0, 42") == ["addi x10, x0, 42"]
 
     def test_li_negative_small(self):
-        assert expand_pseudo("li", ["a0", "-2048"]) == \
-            [("addi", ["a0", "x0", "-2048"])]
+        assert self.rendered("li a0, -2048") == ["addi x10, x0, -2048"]
 
     def test_li_large_uses_lui_addi(self):
-        out = expand_pseudo("li", ["a0", "0x12345678"])
-        assert [m for m, _ in out] == ["lui", "addi"]
+        assert self.rendered("li a0, 0x12345678") == \
+            ["lui x10, 74565", "addi x10, x10, 1656"]   # 0x12345, 0x678
 
     def test_li_label_deferred_to_pass2(self):
-        out = expand_pseudo("li", ["a0", "some_label"])
-        assert [m for m, _ in out] == ["lui", "addi"]
-        assert "%hi(some_label)" in out[0][1]
+        hi, lo = hi_lo(0x12345FFF)
+        assert self.rendered("li a0, some_label\n"
+                             ".equ some_label, 0x12345FFF") == \
+            [f"lui x10, {hi}", f"addi x10, x10, {lo}"]
 
     def test_la(self):
-        out = expand_pseudo("la", ["a0", "arr"])
-        assert out == [("lui", ["a0", "%hi(arr)"]),
-                       ("addi", ["a0", "a0", "%lo(arr)"])]
+        program = assemble("la a0, arr\narr: .word 1")
+        hi, lo = hi_lo(program.labels["arr"])
+        assert [ins.render() for ins in program.instructions] == \
+            [f"lui x10, {hi}", f"addi x10, x10, {lo}"]
 
     def test_branch_swaps(self):
-        assert expand_pseudo("bgt", ["a0", "a1", "L"]) == \
-            [("blt", ["a1", "a0", "L"])]
-        assert expand_pseudo("bleu", ["a0", "a1", "L"]) == \
-            [("bgeu", ["a1", "a0", "L"])]
+        assert self.rendered("L: bgt a0, a1, L\nbleu a0, a1, L") == \
+            ["blt x11, x10, 0", "bgeu x11, x10, -4"]
 
     def test_ret(self):
-        assert expand_pseudo("ret", []) == [("jalr", ["x0", "x1", "0"])]
+        assert self.rendered("ret") == ["jalr x0, x1, 0"]
 
     def test_real_instructions_pass_through(self):
-        assert expand_pseudo("add", ["x1", "x2", "x3"]) == \
-            [("add", ["x1", "x2", "x3"])]
+        assert self.rendered("add x1, x2, x3") == ["add x1, x2, x3"]
 
     def test_wrong_operand_count_raises(self):
-        with pytest.raises(AsmSyntaxError):
-            expand_pseudo("mv", ["a0"])
-        with pytest.raises(AsmSyntaxError):
-            expand_pseudo("ret", ["a0"])
+        with pytest.raises(AsmSyntaxError, match="'mv' expects 2"):
+            assemble("mv a0")
+        with pytest.raises(AsmSyntaxError, match="'ret' expects 0"):
+            assemble("ret a0")
 
 
 class TestExpansionSemantics:

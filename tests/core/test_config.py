@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import (BufferConfig, CpuConfig, FuSpec, MemoryConfig,
                                preset_names)
 from repro.errors import ConfigError
+from repro.memory.main_memory import MAX_CAPACITY
 
 
 class TestFuSpec:
@@ -64,6 +65,7 @@ class TestValidation:
         lambda c: setattr(c.buffers, "fetch_width", 0),
         lambda c: setattr(c.buffers, "flush_penalty", -1),
         lambda c: setattr(c.memory, "capacity", 0),
+        lambda c: setattr(c.memory, "capacity", MAX_CAPACITY + 1),
         lambda c: setattr(c.memory, "rename_file_size", 0),
         lambda c: setattr(c.memory, "call_stack_size", 10**9),
         lambda c: setattr(c, "core_clock_hz", 0),

@@ -66,6 +66,12 @@ class TestHttpBasics:
         assert client.health()["status"] == "ok"
 
 
+#: a gzip stream ending mid-member
+TRUNCATED_GZIP = gzip.compress(b'{"code": "nop"}')[:-6]
+#: ~150 bytes on the wire that inflate to 100 kB
+GZIP_BOMB = gzip.compress(json.dumps({"code": " " * 100_000}).encode())
+
+
 class TestHostileBodies:
     """Body-level garbage gets a prompt 4xx with a JSON error and leaves
     the server healthy (raw sockets: http.client would refuse to send
@@ -82,9 +88,17 @@ class TestHostileBodies:
                          f"{head}\r\n".encode("ascii") + body)
             response = http.client.HTTPResponse(sock)
             response.begin()
-            return response.status, json.loads(response.read())
+            return (response.status, json.loads(response.read()),
+                    response.getheader("Connection"))
         finally:
             sock.close()
+
+    @staticmethod
+    def assert_healthy(client):
+        assert client.health()["status"] == "ok"
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
 
     @pytest.mark.parametrize("headers,body", [
         ({"Content-Length": "-1"}, b""),
@@ -93,11 +107,13 @@ class TestHostileBodies:
          b"not gzip!"),
         ({"Content-Length": "4"}, b"\xff\xfe{}"),
         ({"Content-Length": "5"}, b"[1,2]"),
+        ({"Content-Length": str(len(TRUNCATED_GZIP)),
+          "Content-Encoding": "gzip"}, TRUNCATED_GZIP),
     ], ids=["negative-length", "non-numeric-length", "bad-gzip",
-            "non-utf8", "non-object"])
+            "non-utf8", "non-object", "truncated-gzip"])
     def test_rejected_with_json_400(self, server, headers, body):
         started = time.monotonic()
-        status, data = self.raw_post(server, headers, body)
+        status, data, _ = self.raw_post(server, headers, body)
         assert status == 400
         assert data["error"] and data["status"] == 400
         assert time.monotonic() - started < 2.0
@@ -106,10 +122,7 @@ class TestHostileBodies:
         for headers in ({"Content-Length": "-1"},
                         {"Content-Length": "abc"}):
             self.raw_post(server, headers)
-        assert client.health()["status"] == "ok"
-        sid = client.session_new(DEFAULT_PROGRAMS[0])
-        assert client.session_step(sid, 1)["state"]["cycle"] == 1
-        assert client.session_close(sid)["success"]
+        self.assert_healthy(client)
 
     def test_overstated_content_length_times_out_with_408(
             self, server, client, monkeypatch):
@@ -118,15 +131,33 @@ class TestHostileBodies:
         pinning the connection thread until the client hangs up."""
         monkeypatch.setattr(httpd, "BODY_READ_TIMEOUT_S", 0.2)
         started = time.monotonic()
-        status, data = self.raw_post(server, {"Content-Length": "100"},
-                                     b'{"code": ')
+        status, data, _ = self.raw_post(server, {"Content-Length": "100"},
+                                        b'{"code": ')
         assert status == 408
         assert "Content-Length" in data["error"] and data["status"] == 408
         assert time.monotonic() - started < 2.0
-        assert client.health()["status"] == "ok"
-        sid = client.session_new(DEFAULT_PROGRAMS[0])
-        assert client.session_step(sid, 1)["state"]["cycle"] == 1
-        assert client.session_close(sid)["success"]
+        self.assert_healthy(client)
+
+    @pytest.mark.parametrize("headers,body", [
+        ({"Content-Length": "2048"}, b""),
+        ({"Content-Length": str(len(GZIP_BOMB)), "Content-Encoding": "gzip"},
+         GZIP_BOMB),
+    ], ids=["declared-too-long", "gzip-inflates-too-far"])
+    def test_too_large_body_is_413(self, server, client, monkeypatch,
+                                   headers, body):
+        """A body past MAX_BODY_BYTES gets a prompt JSON 413.  A declared
+        length past it is refused unread (nothing follows the headers
+        here, so reading would wait out the body timeout) and the
+        connection closes; a gzip body stops inflating at the bound."""
+        monkeypatch.setattr(httpd, "MAX_BODY_BYTES", 1024)
+        started = time.monotonic()
+        status, data, connection = self.raw_post(server, headers, body)
+        assert status == 413 and data["status"] == 413
+        assert str(1024) in data["error"]
+        if not body:
+            assert connection == "close"
+        assert time.monotonic() - started < 2.0
+        self.assert_healthy(client)
 
     def test_chunked_body_is_refused_with_411(self, server, client):
         """Only Content-Length bodies are read.  A chunked one gets a JSON
@@ -156,10 +187,7 @@ class TestHostileBodies:
         data = json.loads(rest[:length])
         assert data["status"] == 411 and "Content-Length" in data["error"]
         assert rest[length:] == b""     # exactly one reply
-        assert client.health()["status"] == "ok"
-        sid = client.session_new(DEFAULT_PROGRAMS[0])
-        assert client.session_step(sid, 1)["state"]["cycle"] == 1
-        assert client.session_close(sid)["success"]
+        self.assert_healthy(client)
 
 
 class TestGzip:
@@ -191,6 +219,16 @@ class TestGzip:
         compressed, _ = self._raw_request(server, True)
         plain, _ = self._raw_request(server, False)
         assert len(compressed) < len(plain)
+
+    def test_multi_member_gzip_request_body_accepted(self, server):
+        text = json.dumps({"code": "nop\nebreak"}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        conn.request("POST", "/parseAsm",
+                     body=gzip.compress(text[:9]) + gzip.compress(text[9:]),
+                     headers={"Content-Encoding": "gzip"})
+        data = json.loads(conn.getresponse().read())
+        conn.close()
+        assert data["success"] and data["instructionCount"] == 2
 
     def test_gzip_request_body_accepted(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import CpuConfig
-from repro.server.protocol import Api, ApiError
+from repro.memory.main_memory import MAX_CAPACITY
+from repro.server.protocol import MAX_SEEK_CYCLE, Api, ApiError
 
 
 @pytest.fixture
@@ -83,6 +84,25 @@ class TestParseAsm:
         assert not out["success"]
         assert out["errors"][0]["line"] == 2
 
+    @pytest.mark.parametrize("code,line,column", [
+        ("nop\naddi a0, x0, 017", 2, 14),           # leading-zero literal
+        ("    .word 09", 1, 11),
+        ("    add x1, x2, 5", 1, 17),                # operand positions are
+        ("    lw x1, 4(q9)", 1, 13),                 # the source's
+        ("    li x5, bogus+", 1, 12),
+        ("/* c */ addi a0, x0, q", 1, 22),
+    ])
+    def test_errors_at_source_positions(self, api, code, line, column):
+        out = api.handle("POST", "/parseAsm", {"code": code})
+        assert not out["success"]
+        error = out["errors"][0]
+        assert (error["line"], error["column"]) == (line, column)
+
+    def test_oversized_data_directive_is_an_editor_error(self, api):
+        out = api.handle("POST", "/parseAsm", {"code": ".skip 4000000000"})
+        assert not out["success"]
+        assert "data segment" in out["errors"][0]["message"]
+
 
 class TestSimulate:
     def test_batch_run(self, api):
@@ -125,6 +145,38 @@ class TestSimulate:
             api.handle("POST", "/simulate",
                        {"code": PROGRAM, "maxCycles": max_cycles})
         assert info.value.status == 400
+
+    def test_cycle_budget_past_the_cap_is_400(self, api):
+        """The run halts at the smaller of maxCycles and config.maxCycles;
+        a budget past MAX_SEEK_CYCLE would pin this connection's thread."""
+        with pytest.raises(ApiError) as info:
+            api.handle("POST", "/simulate", {
+                "code": "spin: j spin", "maxCycles": 10**12,
+                "config": {"maxCycles": 10**12}})
+        assert info.value.status == 400
+        assert str(MAX_SEEK_CYCLE) in info.value.message
+        with pytest.raises(ApiError):
+            api.handle("POST", "/simulate", {
+                "code": "spin: j spin",
+                "config": {"maxCycles": MAX_SEEK_CYCLE + 1}})
+
+    @pytest.mark.parametrize("budget", [
+        {"maxCycles": 10**12},                       # capped by the config
+        {"config": {"maxCycles": MAX_SEEK_CYCLE}},
+        {"maxCycles": 50, "config": {"maxCycles": 10**12}},
+    ])
+    def test_cycle_budget_within_the_cap_runs(self, api, budget):
+        out = api.handle("POST", "/simulate", {"code": "ebreak", **budget})
+        assert out["success"]
+
+    @pytest.mark.parametrize("route", ["/simulate", "/session/new"])
+    def test_memory_capacity_past_the_cap_is_400(self, api, route):
+        config = CpuConfig().to_json()
+        config["memory"]["capacity"] = MAX_CAPACITY + 1
+        with pytest.raises(ApiError) as info:
+            api.handle("POST", route, {"code": "ebreak", "config": config})
+        assert info.value.status == 400
+        assert api.handle("GET", "/health", None)["sessions"] == 0
 
     @pytest.mark.parametrize("config", [5, ["wide"], True,
                                         {"buffers": 5},
