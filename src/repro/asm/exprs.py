@@ -12,11 +12,15 @@ Grammar (over :class:`repro.asm.lexer.Token` lists)::
     term   := factor (('*'|'/'|'%') factor)*
     factor := INT | FLOAT | SYMBOL | '(' expr ')' | ('+'|'-') factor
             | %hi '(' expr ')' | %lo '(' expr ')'
+
+Each parenthesis, sign and ``%hi``/``%lo`` nests one level deeper; an
+operand nested past :data:`MAX_OPERAND_NESTING` is a syntax error at the
+token that crosses it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.asm.lexer import Token, TokenKind
 from repro.asm.pseudo import hi_lo
@@ -24,12 +28,18 @@ from repro.errors import AsmSyntaxError
 
 Number = Union[int, float]
 
+#: deepest nesting of parentheses, signs and ``%hi``/``%lo`` in one
+#: operand; the evaluator recurses per level, so a deeper operand is
+#: refused before it could exhaust Python's stack
+MAX_OPERAND_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: List[Token], labels: Optional[Dict[str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.labels = labels
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -50,6 +60,17 @@ class _Parser:
             raise AsmSyntaxError(
                 f"expected {kind.value}, found {tok.text!r}", tok.line, tok.column)
         return tok
+
+    def nested(self, tok: Token, parse: Callable[[], Number]) -> Number:
+        """``parse()`` one nesting level below *tok*."""
+        if self.depth == MAX_OPERAND_NESTING:
+            raise AsmSyntaxError(f"operand nested deeper than "
+                                 f"{MAX_OPERAND_NESTING} levels",
+                                 tok.line, tok.column)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     # -- grammar ---------------------------------------------------------
     def expr(self) -> Number:
@@ -92,15 +113,15 @@ class _Parser:
         if tok.kind is TokenKind.FLOAT:
             return float(tok.value)
         if tok.kind is TokenKind.OPERATOR and tok.text in "+-":
-            value = self.factor()
+            value = self.nested(tok, self.factor)
             return -value if tok.text == "-" else value
         if tok.kind is TokenKind.LPAREN:
-            value = self.expr()
+            value = self.nested(tok, self.expr)
             self.expect(TokenKind.RPAREN)
             return value
         if tok.kind is TokenKind.PERCENT_FUNC:
             self.expect(TokenKind.LPAREN)
-            value = int(self.expr())
+            value = int(self.nested(tok, self.expr))
             self.expect(TokenKind.RPAREN)
             hi, lo = hi_lo(value)
             return hi if tok.value == "hi" else lo

@@ -59,7 +59,7 @@ _TOKEN_RE = re.compile(
   | (?P<char>'(\\.|[^'\\])')
   | (?P<percent>%(hi|lo)\b)
   | (?P<labeldef>[A-Za-z_.$][\w.$]*:)
-  | (?P<directive>\.[A-Za-z][\w.]*)
+  | (?P<directive>\.(?:[A-Za-z][\w.]*|\d+byte\b))
   | (?P<float>\d+\.\d+([eE][-+]?\d+)?)
   | (?P<integer>0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)
   | (?P<symbol>@?[A-Za-z_$][\w.$]*)

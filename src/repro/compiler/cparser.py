@@ -28,11 +28,22 @@ _BIN_PREC = {
 
 _TYPE_KEYWORDS = {"int", "unsigned", "char", "float", "void", "const", "static"}
 
+#: deepest node the parser builds: its depth in the function's syntax tree,
+#: counting every enclosing statement and operator and each parenthesis.
+#: The parser and every later pass recurse over that tree, so a deeper
+#: program is refused as a syntax error where it crosses the limit rather
+#: than overflowing Python's stack further on
+MAX_NESTING = 100
+
 
 class CParser:
     def __init__(self, source: str):
         self.tokens = tokenize_c(source)
         self.pos = 0
+        #: depth of the node being parsed (see MAX_NESTING), and the
+        #: deepest depth reached by what has been parsed at that position
+        self.depth = 0
+        self.reach = 0
 
     # -- token helpers ---------------------------------------------------
     def peek(self, ahead: int = 0) -> CToken:
@@ -60,6 +71,31 @@ class CParser:
             raise CSyntaxError(f"expected '{want}', found '{tok.text or 'EOF'}'",
                                tok.line, tok.column)
         return self.next()
+
+    # -- nesting bound ------------------------------------------------------
+    def _too_deep(self, tok: CToken) -> CSyntaxError:
+        return CSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                            tok.line, tok.column)
+
+    def _child(self, parse, *args):
+        """``parse(*args)`` one level further down the tree."""
+        outer = self.reach
+        self.depth += 1
+        self.reach = self.depth
+        if self.depth > MAX_NESTING:
+            raise self._too_deep(self.peek())
+        node = parse(*args)
+        self.depth -= 1
+        self.reach = max(outer, self.reach)
+        return node
+
+    def _shift(self, tok: CToken) -> None:
+        """A node at *tok* takes what was parsed before it at the same
+        depth as its operand (``a + b``'s ``a``): all of that moves one
+        level down."""
+        self.reach += 1
+        if self.reach > MAX_NESTING:
+            raise self._too_deep(tok)
 
     # -- types -------------------------------------------------------------
     def _at_type(self) -> bool:
@@ -151,7 +187,7 @@ class CParser:
                     if gtype.is_array and gtype.array == 0:
                         gtype = CType(gtype.base, gtype.pointer, len(init_list))
                 else:
-                    init = self.assignment()
+                    init = self._child(self.assignment)
             out.append(GlobalVar(tok.text, gtype, init, init_list, extern,
                                  tok.line))
             if not self.accept("op", ","):
@@ -165,7 +201,7 @@ class CParser:
         items: List[Expr] = []
         if not self.at("op", "}"):
             while True:
-                items.append(self.assignment())
+                items.append(self._child(self.assignment))
                 if not self.accept("op", ","):
                     break
                 if self.at("op", "}"):  # trailing comma
@@ -181,7 +217,7 @@ class CParser:
             if self.at("eof"):
                 raise CSyntaxError("unterminated block", start.line,
                                    start.column)
-            body.append(self.statement())
+            body.append(self._child(self.statement))
         self.expect("op", "}")
         return Block(line=start.line, body=body)
 
@@ -204,7 +240,8 @@ class CParser:
             return self._for()
         if self.at("kw", "return"):
             self.next()
-            value = None if self.at("op", ";") else self.expression()
+            value = None if self.at("op", ";") \
+                else self._child(self.expression)
             self.expect("op", ";")
             return Return(line=tok.line, value=value)
         if self.at("kw", "break"):
@@ -215,9 +252,13 @@ class CParser:
             self.next()
             self.expect("op", ";")
             return Continue(line=tok.line)
-        expr = self.expression()
+        return self._expr_stmt()
+
+    def _expr_stmt(self) -> Stmt:
+        line = self.peek().line
+        expr = self._child(self.expression)
         self.expect("op", ";")
-        return ExprStmt(line=tok.line, expr=expr)
+        return ExprStmt(line=line, expr=expr)
 
     def _local_decl(self) -> Stmt:
         start = self.peek()
@@ -240,39 +281,46 @@ class CParser:
                         vtype = CType(vtype.base, vtype.pointer,
                                       len(init_list))
                 else:
-                    init = self.assignment()
+                    init = self._child(self.assignment)
             decls.append(VarDecl(line=tok.line, name=tok.text, ctype=vtype,
                                  init=init, init_list=init_list))
-            if not self.accept("op", ","):
+            if not self.at("op", ","):
                 break
+            if len(decls) == 1:
+                # declarators after the first: all of them sit in a Block
+                self._shift(self.peek())
+                self.depth += 1
+            self.next()
         self.expect("op", ";")
         if len(decls) == 1:
             return decls[0]
+        self.depth -= 1
         return Block(line=start.line, body=decls, transparent=True)
 
     def _if(self) -> Stmt:
         tok = self.expect("kw", "if")
         self.expect("op", "(")
-        cond = self.expression()
+        cond = self._child(self.expression)
         self.expect("op", ")")
-        then = self.statement()
-        otherwise = self.statement() if self.accept("kw", "else") else None
+        then = self._child(self.statement)
+        otherwise = self._child(self.statement) \
+            if self.accept("kw", "else") else None
         return If(line=tok.line, cond=cond, then=then, otherwise=otherwise)
 
     def _while(self) -> Stmt:
         tok = self.expect("kw", "while")
         self.expect("op", "(")
-        cond = self.expression()
+        cond = self._child(self.expression)
         self.expect("op", ")")
-        body = self.statement()
+        body = self._child(self.statement)
         return While(line=tok.line, cond=cond, body=body)
 
     def _do_while(self) -> Stmt:
         tok = self.expect("kw", "do")
-        body = self.statement()
+        body = self._child(self.statement)
         self.expect("kw", "while")
         self.expect("op", "(")
-        cond = self.expression()
+        cond = self._child(self.expression)
         self.expect("op", ")")
         self.expect("op", ";")
         return While(line=tok.line, cond=cond, body=body, do_while=True)
@@ -284,22 +332,22 @@ class CParser:
             self.next()
             init: Optional[Stmt] = None
         elif self._at_type():
-            init = self._local_decl()
+            init = self._child(self._local_decl)
         else:
-            init = ExprStmt(line=self.peek().line, expr=self.expression())
-            self.expect("op", ";")
-        cond = None if self.at("op", ";") else self.expression()
+            init = self._child(self._expr_stmt)
+        cond = None if self.at("op", ";") else self._child(self.expression)
         self.expect("op", ";")
-        post = None if self.at("op", ")") else self.expression()
+        post = None if self.at("op", ")") else self._child(self.expression)
         self.expect("op", ")")
-        body = self.statement()
+        body = self._child(self.statement)
         return For(line=tok.line, init=init, cond=cond, post=post, body=body)
 
     # -- expressions -------------------------------------------------------
     def expression(self) -> Expr:
         expr = self.assignment()
-        while self.accept("op", ","):
-            right = self.assignment()
+        while self.at("op", ","):
+            self._shift(self.next())
+            right = self._child(self.assignment)
             expr = Binary(line=expr.line, op=",", left=expr, right=right)
         return expr
 
@@ -307,17 +355,18 @@ class CParser:
         left = self.conditional()
         tok = self.peek()
         if tok.kind == "op" and tok.text in _ASSIGN_OPS:
-            self.next()
-            value = self.assignment()
+            self._shift(self.next())
+            value = self._child(self.assignment)
             return Assign(line=tok.line, op=tok.text, target=left, value=value)
         return left
 
     def conditional(self) -> Expr:
         cond = self.binary(1)
-        if self.accept("op", "?"):
-            then = self.expression()
+        if self.at("op", "?"):
+            self._shift(self.next())
+            then = self._child(self.expression)
             self.expect("op", ":")
-            otherwise = self.conditional()
+            otherwise = self._child(self.conditional)
             return Conditional(line=cond.line, cond=cond, then=then,
                                otherwise=otherwise)
         return cond
@@ -329,21 +378,21 @@ class CParser:
             prec = _BIN_PREC.get(tok.text) if tok.kind == "op" else None
             if prec is None or prec < min_prec:
                 return left
-            self.next()
-            right = self.binary(prec + 1)
+            self._shift(self.next())
+            right = self._child(self.binary, prec + 1)
             left = Binary(line=tok.line, op=tok.text, left=left, right=right)
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("-", "+", "!", "~", "*", "&"):
             self.next()
-            operand = self.unary()
+            operand = self._child(self.unary)
             if tok.text == "+":
                 return operand
             return Unary(line=tok.line, op=tok.text, operand=operand)
         if tok.kind == "op" and tok.text in ("++", "--"):
             self.next()
-            operand = self.unary()
+            operand = self._child(self.unary)
             return Unary(line=tok.line, op=tok.text, operand=operand)
         if tok.kind == "kw" and tok.text == "sizeof":
             self.next()
@@ -356,7 +405,7 @@ class CParser:
                     target = CType(target.base, target.pointer,
                                    int(size_tok.value))
             else:
-                expr = self.expression()
+                expr = self._child(self.expression)
                 target = None
                 # sizeof(expr): resolved by the type checker
                 self.expect("op", ")")
@@ -372,7 +421,7 @@ class CParser:
             self.next()
             target = self.parse_type()
             self.expect("op", ")")
-            operand = self.unary()
+            operand = self._child(self.unary)
             return Cast(line=tok.line, target=target, operand=operand)
         return self.postfix()
 
@@ -380,12 +429,13 @@ class CParser:
         expr = self.primary()
         while True:
             tok = self.peek()
-            if self.accept("op", "["):
-                index = self.expression()
+            if self.at("op", "["):
+                self._shift(self.next())
+                index = self._child(self.expression)
                 self.expect("op", "]")
                 expr = Index(line=tok.line, base=expr, index=index)
             elif tok.kind == "op" and tok.text in ("++", "--"):
-                self.next()
+                self._shift(self.next())
                 expr = Unary(line=tok.line, op=tok.text, operand=expr,
                              postfix=True)
             else:
@@ -405,14 +455,14 @@ class CParser:
                 args: List[Expr] = []
                 if not self.at("op", ")"):
                     while True:
-                        args.append(self.assignment())
+                        args.append(self._child(self.assignment))
                         if not self.accept("op", ","):
                             break
                 self.expect("op", ")")
                 return Call(line=tok.line, name=tok.text, args=args)
             return Ident(line=tok.line, name=tok.text)
         if tok.kind == "op" and tok.text == "(":
-            expr = self.expression()
+            expr = self._child(self.expression)
             self.expect("op", ")")
             return expr
         raise CSyntaxError(f"unexpected token '{tok.text or 'EOF'}'",

@@ -10,7 +10,8 @@ turns that pattern into a first-class batch subsystem:
   jobs;
 * :mod:`repro.explore.pool` — the worker-pool layer: a multiprocessing
   pool with per-job timeouts and crash isolation for sweeps, and a keyed
-  thread pool the simulation server reuses for per-session executors;
+  thread pool (per-key FIFO order; the simulation server no longer uses
+  it: session requests run on their connection's thread);
 * :mod:`repro.explore.backend` — pluggable execution backends: serial
   loop, local process pool, and HTTP fan-out over a remote worker fleet
   (``repro-sim worker`` servers) — all record-for-record bit-identical;

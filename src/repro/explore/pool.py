@@ -12,17 +12,17 @@ callers get ordered results*:
   Results are collected as they complete but returned ordered by job index,
   so a parallel sweep is record-for-record comparable with the serial loop.
 
-* :class:`KeyedThreadPool` — W threads with **per-key FIFO queues** for the
-  simulation server: all work for one key (a session id) runs in submit
-  order on at most one worker at a time, so a heavy session can never
-  occupy more than one executor while other sessions proceed on the rest.
-  Threads are started lazily, keys are scheduled round-robin, and errors
-  propagate through the returned :class:`Future`.
+* :class:`KeyedThreadPool` — W threads with **per-key FIFO queues**: all
+  work for one key runs in submit order on at most one worker at a time,
+  so a heavy key can never occupy more than one executor while other keys
+  proceed on the rest.  Threads are started lazily, keys are scheduled
+  round-robin, and errors propagate through the returned :class:`Future`.
 
-Both are transport-free (no repro imports) and are reused across the
-stack: ``repro.explore.engine`` drives sweeps on the process pool, and
-``repro.server.protocol`` dispatches ``session/*`` work onto the keyed
-pool instead of simulating on the HTTP thread.
+Both are transport-free (no repro imports).  ``repro.explore.engine``
+drives sweeps on the process pool; the keyed pool is a public building
+block with no caller in the package: the simulation server runs each
+``session/*`` request on its connection's thread under the session's
+lock instead.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ class ProcessWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# keyed thread pool (simulation-server session executors)
+# keyed thread pool
 # ---------------------------------------------------------------------------
 class Future:
     """Minimal completion handle for :class:`KeyedThreadPool` work."""
@@ -397,11 +397,10 @@ class KeyedThreadPool:
     """W worker threads with per-key FIFO ordering and key isolation.
 
     * All tasks of one key run **in submission order**, never concurrently
-      with each other (the per-session lock discipline of the server holds
-      by construction).
-    * A key occupies at most one worker, so a session spamming heavy steps
-      cannot starve other sessions: ready keys are scheduled round-robin
-      over the remaining workers.
+      with each other.
+    * A key occupies at most one worker, so a key submitting heavy tasks
+      cannot starve other keys: ready keys are scheduled round-robin over
+      the remaining workers.
     * Threads are daemonic and started lazily — an idle server costs
       nothing; a closed pool rejects new work.
     """

@@ -82,7 +82,11 @@ def float32_round(value: float) -> float:
     """
     if math.isnan(value) or math.isinf(value):
         return value
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        # rounds past the largest binary32: an infinity, as on an FPU
+        return math.copysign(math.inf, value)
 
 
 def fcvt_w_s(value: float) -> int:

@@ -347,14 +347,13 @@ class Expression:
     every dynamic instance.
     """
 
-    __slots__ = ("source", "_tokens", "_fn", "_fast")
+    __slots__ = ("source", "_tokens", "_fast")
 
     _cache: Dict[str, "Expression"] = {}
 
     def __init__(self, source: str):
         self.source = source
         self._tokens = self._compile(source)
-        self._fn = self._codegen(source, self._tokens)
         self._fast = self._codegen_fast(source, self._tokens)
 
     @classmethod
@@ -400,76 +399,16 @@ class Expression:
         return tokens
 
     @staticmethod
-    def _codegen(source: str, tokens: list) -> Optional[Callable]:
+    def _codegen_fast(source: str, tokens: list) -> Optional[Callable]:
         """Compile the postfix program to a straight-line Python function.
 
         Postfix expressions have a statically known stack shape, so the
-        stack machine unrolls into plain assignments: operator callables are
-        bound into the generated function's globals, references resolve
-        lazily (at consumption time, like the interpreter) via ``ctx.get``.
-        Returns ``None`` for malformed shapes (stack underflow, non-reference
-        assignment target); those fall back to :meth:`_interpret`, which
-        raises the matching :class:`ExpressionError` at evaluation time.
-        """
-        env: Dict[str, object] = {}
-        lines: List[str] = []
-        #: symbolic stack: ("ref", name) | ("val", python expression)
-        stack: List[Tuple[str, str]] = []
-        temp = 0
-
-        def resolve(slot: Tuple[str, str]) -> str:
-            kind, payload = slot
-            return f"_get({payload!r})" if kind == "ref" else payload
-
-        for kind, payload in tokens:
-            if kind == "ref":
-                stack.append(("ref", payload.name))
-            elif kind == "lit":
-                const = f"_c{len(env)}"
-                env[const] = payload
-                stack.append(("val", const))
-            elif kind == "assign":
-                if len(stack) < 2 or stack[-1][0] != "ref":
-                    return None
-                target = stack.pop()[1]
-                value = resolve(stack.pop())
-                lines.append(f"_set({target!r}, {value})")
-            else:
-                op = f"_op{len(env)}"
-                env[op] = payload
-                cast = "int" if kind in ("ib", "iu") else "float"
-                if kind in ("ib", "fb"):
-                    if len(stack) < 2:
-                        return None
-                    b = resolve(stack.pop())
-                    a = resolve(stack.pop())
-                    call = f"{op}(_ctx, {cast}({a}), {cast}({b}))"
-                else:
-                    if not stack:
-                        return None
-                    a = resolve(stack.pop())
-                    call = f"{op}(_ctx, {cast}({a}))"
-                name = f"_t{temp}"
-                temp += 1
-                lines.append(f"{name} = {call}")
-                stack.append(("val", name))
-
-        lines.append(f"return {resolve(stack[-1])}" if stack else "return None")
-        body = "".join(f"    {line}\n" for line in lines)
-        code = ("def _compiled(_ctx):\n"
-                "    _get = _ctx.get\n"
-                "    _set = _ctx.set\n" + body)
-        exec(compile(code, f"<expression {source!r}>", "exec"), env)
-        return env["_compiled"]
-
-    @staticmethod
-    def _codegen_fast(source: str, tokens: list) -> Optional[Callable]:
-        """Fused variant of :meth:`_codegen`: no :class:`EvalContext`.
-
-        The generated function has signature ``(values, pc) -> (result,
-        assignments, exception)`` and reads *values* without copying it
-        (and never writes into it).  The per-evaluation context object the
-        interpreter and the plain codegen allocate is fused away:
+        stack machine unrolls into plain assignments, with operator
+        callables bound into the generated function's globals.  The
+        function has signature ``(values, pc) -> (result, assignments,
+        exception)`` and reads *values* without copying it (and never
+        writes into it).  The per-evaluation context object the
+        interpreter allocates is fused away:
 
         * reads of ``\\pc`` compile to the ``pc`` parameter;
         * reads of a name the expression previously assigned compile to the
@@ -575,14 +514,13 @@ class Expression:
         return env["_fused"]
 
     def evaluate(self, ctx: EvalContext) -> Optional[Number]:
-        """Run the expression; returns the value left on the stack (if any).
+        """Run the expression on the stack machine (the reference
+        semantics, sharing no generated code with :meth:`eval_fast`);
+        returns the value left on the stack (if any).
 
         Assignments performed by ``=`` are recorded in ``ctx.assignments``
         and stored into ``ctx.values``.
         """
-        fn = self._fn
-        if fn is not None:
-            return fn(ctx)
         return self._interpret(ctx)
 
     def eval_fast(self, values: Dict[str, Number], pc: int = 0):
@@ -601,7 +539,7 @@ class Expression:
         return result, ctx.assignments, ctx.exception
 
     def _interpret(self, ctx: EvalContext) -> Optional[Number]:
-        """Stack-machine fallback (also the reference semantics)."""
+        """The stack machine: the reference semantics."""
         stack: List[object] = []
         append = stack.append
         pop = stack.pop

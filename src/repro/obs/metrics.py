@@ -4,10 +4,13 @@ The hot-path contract is **lock-free increment**: every writing thread
 owns a private shard (a ``threading.local`` slot holding plain dicts)
 that only it mutates, so ``Counter.inc`` / ``Histogram.observe`` are a
 dict update away — no lock, no contention, no syscalls.  The registry
-lock is taken only to register a new shard (once per thread) and to
-merge shards on scrape.  Shards are never reset, so merged counter
-values are monotone for the life of the process even across scrapes and
-thread deaths.
+lock is taken only to hand a thread its shard (once per thread) and to
+merge shards on scrape.  A thread that finds the shard of a thread that
+has ended takes it over instead of adding one, so the shard list stays as
+long as the most threads ever writing at once (a server that runs each
+connection on a new thread does not grow it per connection).  Shards are
+never reset, so merged counter values are monotone for the life of the
+process even across scrapes and thread deaths.
 
 This module is **determinism-clean by construction**: it imports no
 clock, reads no environment, and uses no process-global randomness —
@@ -105,11 +108,12 @@ class _Shard:
     """Per-thread metric storage.  Only the owning thread writes; the
     scrape path reads via atomic ``list(dict.items())`` copies."""
 
-    __slots__ = ("counts", "hists")
+    __slots__ = ("counts", "hists", "owner")
 
-    def __init__(self) -> None:
+    def __init__(self, owner: threading.Thread) -> None:
         self.counts: Dict[tuple, float] = {}
         self.hists: Dict[tuple, _HistCell] = {}
+        self.owner = owner
 
 
 class Counter:
@@ -197,11 +201,21 @@ class MetricsRegistry:
     def _shard(self) -> _Shard:
         shard = getattr(self._local, "shard", None)
         if shard is None:
-            shard = _Shard()
-            with self._lock:
-                self._shards.append(shard)
-            self._local.shard = shard
+            shard = self._local.shard = self._adopt_shard()
         return shard
+
+    def _adopt_shard(self) -> _Shard:
+        """The calling thread's shard: one whose owner has ended (its
+        counts stay and keep merging), else a new one."""
+        thread = threading.current_thread()
+        with self._lock:
+            for shard in self._shards:
+                if not shard.owner.is_alive():
+                    shard.owner = thread
+                    return shard
+            shard = _Shard(thread)
+            self._shards.append(shard)
+            return shard
 
     # -- registration --------------------------------------------------
     def _register(self, kind: str, name: str, family: object):

@@ -193,9 +193,10 @@ class _Handler(BaseHTTPRequestHandler):
 class SimServer(ThreadingHTTPServer):
     """The simulation server (one thread per connection).
 
-    Connection threads only parse/serialize; session simulation runs on the
-    Api's keyed worker pool and design-space sweeps on the explore
-    manager's process pool (see :mod:`repro.server.protocol`).
+    Each request runs to completion on its connection's thread, session
+    simulation included (a session's requests serialize on its lock);
+    design-space sweeps run on the explore manager's workers (see
+    :mod:`repro.server.protocol`).
     """
 
     daemon_threads = True
@@ -236,8 +237,7 @@ class SimServer(ThreadingHTTPServer):
 
 def serve(host: str = "127.0.0.1", port: int = 8045,
           enable_gzip: bool = True, overhead_ms: float = 0.0,
-          verbose: bool = True, session_workers: Optional[int] = None,
-          explore_workers: Optional[int] = None,
+          verbose: bool = True, explore_workers: Optional[int] = None,
           role: str = "simulation server",
           register_with: Optional[str] = None,
           advertise: Optional[str] = None,
@@ -262,13 +262,8 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
     executes.
     """
     from repro.explore.service import ExploreManager
-    from repro.server.protocol import DEFAULT_SESSION_WORKERS
     from repro.sim.simulation import DEFAULT_CANCEL_STRIDE
-    # explicit None check: --session-workers 0 must reach KeyedThreadPool
-    # and fail its validation loudly, not silently fall back to the default
     api = Api(explore=ExploreManager(workers=explore_workers),
-              session_workers=DEFAULT_SESSION_WORKERS
-              if session_workers is None else session_workers,
               cancel_stride=DEFAULT_CANCEL_STRIDE
               if cancel_stride is None else cancel_stride)
     server = SimServer((host, port), api=api, enable_gzip=enable_gzip,
@@ -287,7 +282,6 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
     print(f"repro {role} listening on http://{host}:{server.port}"
           f" (gzip={'on' if enable_gzip else 'off'},"
           f" overhead={overhead_ms}ms,"
-          f" session workers={api.session_pool.workers},"
           f" explore workers={api.explore.workers}"
           + (f", fleet frontend={register_with}" if register_with else "")
           + ")", flush=True)
@@ -311,8 +305,6 @@ def main(argv=None) -> int:
                         help="disable gzip content-encoding")
     parser.add_argument("--overhead-ms", type=float, default=0.0,
                         help="per-request overhead emulating Docker deployment")
-    parser.add_argument("--session-workers", type=int, default=None,
-                        help="session executor threads (per-session queues)")
     parser.add_argument("--explore-workers", type=int, default=None,
                         help="worker processes for /explore sweeps")
     parser.add_argument("--cancel-stride", type=int, default=None,
@@ -323,7 +315,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     serve(args.host, args.port, enable_gzip=not args.no_gzip,
           overhead_ms=args.overhead_ms, verbose=not args.quiet,
-          session_workers=args.session_workers,
           explore_workers=args.explore_workers,
           cancel_stride=args.cancel_stride)
     return 0

@@ -11,13 +11,10 @@ non-JSON replies, an event iterator (a ``stream`` route) or a text string
 harness) does (de)serialization, so the JSON cost the paper measures can be
 benchmarked separately from the simulation cost.
 
-Session work (``session/step`` and friends) does **not** run on the
-calling (HTTP) thread: it is dispatched onto a
-:class:`repro.explore.pool.KeyedThreadPool` keyed by session id — the same
-pool abstraction the experiment engine uses for sweeps.  Per-key FIFO
-queues keep each session's requests strictly ordered while a heavy session
-occupies at most one executor, so concurrent sessions cannot block each
-other behind it.
+Every handler runs to completion on the thread that called
+:meth:`Api.handle` — over HTTP, the connection's own thread.  A session's
+requests serialize on its ``Session.lock``, so two of them never overlap,
+while requests to other sessions run beside them on their own threads.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.core.config import CpuConfig
 from repro.errors import (AsmSyntaxError, ConfigError, MemoryAccessError,
                           ReproError, SourceError)
 from repro.explore.artifacts import ArtifactCache, ArtifactUnavailable
-from repro.explore.pool import CANCELLED_MESSAGE, KeyedThreadPool
+from repro.explore.pool import CANCELLED_MESSAGE
 from repro.explore.report import MetricError
 from repro.explore.service import ExploreManager
 from repro.explore.spec import SweepSpecError
@@ -52,11 +49,12 @@ from repro.sim.state import SNAPSHOT_SCHEMA_VERSION, RawJson
 #: payloads (``/session/step`` with ``"delta": true``), the
 #: ``/session/memory`` view, checkpointed seeking, and strict cycle-count
 #: validation.  v3 adds the ``/explore/*`` design-space sweep endpoints
-#: and moves session simulation onto a worker pool.  v4 adds the
-#: ``/worker/execute`` sweep-worker endpoint (distributed sweeps fan jobs
-#: out to a fleet of these servers), checkpoint-ring memory gauges on the
-#: ``session/*`` payloads, and the enriched ``/explore/status`` (wall-time
-#: summary, queued/running job ids).  v5 adds the fleet-orchestration
+#: (and ran session simulation on a worker pool, since removed without a
+#: wire change).  v4 adds the ``/worker/execute`` sweep-worker endpoint
+#: (distributed sweeps fan jobs out to a fleet of these servers),
+#: checkpoint-ring memory gauges on the ``session/*`` payloads, and the
+#: enriched ``/explore/status`` (wall-time summary, queued/running job
+#: ids).  v5 adds the fleet-orchestration
 #: surface: ``/fleet/register`` heartbeats + fleet health rows in
 #: ``/health``, server-owned ``"backend": "fleet"`` sweeps on
 #: ``/explore/submit``, cooperative cancellation (``/explore/cancel`` ->
@@ -95,18 +93,14 @@ from repro.sim.state import SNAPSHOT_SCHEMA_VERSION, RawJson
 #: work identically.  v1-v8 clients keep working.
 PROTOCOL_VERSION = 9
 
-#: executors session work is dispatched onto (per-session FIFO queues keep
-#: request order; the count bounds how many sessions simulate at once)
-DEFAULT_SESSION_WORKERS = 8
-
 #: upper bound for one step request; larger forward runs should be issued
 #: as repeated (batched) step requests so sessions stay responsive and a
-#: typo cannot pin a worker for minutes
+#: typo cannot pin a connection thread for minutes
 MAX_STEP_CYCLES = 100_000
 
 #: fallback upper bound for an absolute seek target; the effective bound
 #: is the session's own ``max_cycles`` budget (the simulation halts there,
-#: so any larger target would only pin a worker replaying a halted machine).
+#: so any larger target would only pin a thread replaying a halted machine).
 #: It also caps the cycle budget of one ``/simulate`` run
 MAX_SEEK_CYCLE = 10_000_000
 
@@ -158,9 +152,6 @@ _WORKER_EXECUTE_SECONDS = default_registry().histogram(
     "repro_worker_execute_seconds", "Wall time of /worker/execute jobs")
 _SESSIONS_LIVE = default_registry().gauge(
     "repro_sessions_live", "Interactive sessions currently open")
-_SESSION_POOL_PENDING = default_registry().gauge(
-    "repro_session_pool_pending",
-    "Session-pool tasks queued or running")
 _SWEEP_QUEUE = default_registry().gauge(
     "repro_sweep_queue_depth", "Explore-queue depth, by sweep state")
 _FLEET_WORKERS = default_registry().gauge(
@@ -173,10 +164,9 @@ _HEARTBEAT_AGE = default_registry().gauge(
 class Api:
     """All protocol handlers bound to one session manager.
 
-    ``session_workers`` sizes the :class:`KeyedThreadPool` session work
-    runs on (threads start lazily, so idle Apis cost nothing); ``explore``
-    may inject a pre-configured :class:`ExploreManager` (the HTTP entry
-    point passes worker counts through); ``fleet`` a pre-configured
+    Handlers run on the calling thread.  ``explore`` may inject a
+    pre-configured :class:`ExploreManager` (the HTTP entry point passes
+    worker counts through); ``fleet`` a pre-configured
     :class:`WorkerRegistry` (tests inject short TTLs / fake clocks).
     ``cancel_stride`` is the cooperative-cancel check interval (cycles)
     for jobs this server executes via ``/worker/execute``.
@@ -184,15 +174,12 @@ class Api:
 
     def __init__(self, sessions: Optional[SessionManager] = None,
                  explore: Optional[ExploreManager] = None,
-                 session_workers: int = DEFAULT_SESSION_WORKERS,
                  fleet: Optional[WorkerRegistry] = None,
                  cancel_stride: int = DEFAULT_CANCEL_STRIDE):
         # explicit None checks: both managers define __len__, so an empty
         # (still perfectly valid) instance is falsy and `or` would drop it
         self.sessions = sessions if sessions is not None else SessionManager()
         self.explore = explore if explore is not None else ExploreManager()
-        self.session_pool = KeyedThreadPool(session_workers,
-                                            name="session-worker")
         #: per-server artifact cache consulted by /worker/execute: a
         #: remote sweep worker compiles/assembles each distinct program
         #: once, then serves repeats from memory (see repro.explore.artifacts)
@@ -226,8 +213,7 @@ class Api:
             scheduler.origin = origin
 
     def close(self) -> None:
-        """Stop the worker pools (tests; server shutdown)."""
-        self.session_pool.close()
+        """Stop the explore manager's workers (tests; server shutdown)."""
         self.explore.close()
 
     # ------------------------------------------------------------------
@@ -376,46 +362,35 @@ class Api:
         if abs(cycles) > MAX_STEP_CYCLES:
             raise ApiError(f"'cycles' out of range: |{cycles}| exceeds "
                            f"{MAX_STEP_CYCLES} per request")
-
-        def work() -> dict:
-            out = {"success": True, "protocolVersion": PROTOCOL_VERSION}
-            with session.lock:
-                if cycles > 0:
-                    session.simulation.step(cycles)
-                else:
-                    session.simulation.step_back(-cycles)
-                delta = payload.get("delta")
-                if delta == "encoded":
-                    # pre-serialized from the fragment caches; spliced
-                    # verbatim into the response body (dumps_raw)
-                    out["stateFormat"] = "delta"
-                    out["stateDelta"] = RawJson(session.serve_delta_json())
-                elif delta:
-                    out["stateFormat"] = "delta"
-                    out["stateDelta"] = session.serve_delta()
-                else:
-                    out["stateFormat"] = "full"
-                    out["state"] = session.serve_state()
-                out["checkpoints"] = self._checkpoint_gauge(session)
-            return out
-
-        # simulate on a session executor, not the HTTP thread: the pool's
-        # per-key FIFO keeps this session's requests ordered while other
-        # sessions proceed on the remaining workers
-        return self.session_pool.run(session.id, work)
+        out = {"success": True, "protocolVersion": PROTOCOL_VERSION}
+        with session.lock:
+            if cycles > 0:
+                session.simulation.step(cycles)
+            else:
+                session.simulation.step_back(-cycles)
+            delta = payload.get("delta")
+            if delta == "encoded":
+                # pre-serialized from the fragment caches; spliced
+                # verbatim into the response body (dumps_raw)
+                out["stateFormat"] = "delta"
+                out["stateDelta"] = RawJson(session.serve_delta_json())
+            elif delta:
+                out["stateFormat"] = "delta"
+                out["stateDelta"] = session.serve_delta()
+            else:
+                out["stateFormat"] = "full"
+                out["state"] = session.serve_state()
+            out["checkpoints"] = self._checkpoint_gauge(session)
+        return out
 
     def session_state(self, payload: dict) -> dict:
         session = self._session(payload)
-
-        def work() -> dict:
-            with session.lock:
-                return {"success": True,
-                        "protocolVersion": PROTOCOL_VERSION,
-                        "stateFormat": "full",
-                        "state": session.serve_state(),
-                        "checkpoints": self._checkpoint_gauge(session)}
-
-        return self.session_pool.run(session.id, work)
+        with session.lock:
+            return {"success": True,
+                    "protocolVersion": PROTOCOL_VERSION,
+                    "stateFormat": "full",
+                    "state": session.serve_state(),
+                    "checkpoints": self._checkpoint_gauge(session)}
 
     def session_seek(self, payload: dict) -> dict:
         session = self._session(payload)
@@ -426,19 +401,15 @@ class Api:
         if cycle > budget:
             raise ApiError(f"cycle out of range: {cycle} exceeds the "
                            f"session's cycle budget ({budget})")
-
-        def work() -> dict:
-            with session.lock:
-                simulation = session.simulation
-                simulation.seek(cycle)
-                return {"success": True,
-                        "protocolVersion": PROTOCOL_VERSION,
-                        "stateFormat": "full",
-                        "state": session.serve_state(),
-                        "fastForward": simulation.last_fast_forward,
-                        "checkpoints": self._checkpoint_gauge(session)}
-
-        return self.session_pool.run(session.id, work)
+        with session.lock:
+            simulation = session.simulation
+            simulation.seek(cycle)
+            return {"success": True,
+                    "protocolVersion": PROTOCOL_VERSION,
+                    "stateFormat": "full",
+                    "state": session.serve_state(),
+                    "fastForward": simulation.last_fast_forward,
+                    "checkpoints": self._checkpoint_gauge(session)}
 
     def session_memory(self, payload: dict) -> dict:
         """Memory pop-up view (Fig. 2), delta-aware.
@@ -449,10 +420,6 @@ class Api:
         editor shows.  Passing the last seen ``sinceVersion`` back lets the
         client skip unchanged payloads entirely."""
         session = self._session(payload)
-        return self.session_pool.run(session.id, self._session_memory_work,
-                                     session, payload)
-
-    def _session_memory_work(self, session, payload: dict) -> dict:
         with session.lock:
             simulation = session.simulation
             memory = simulation.cpu.memory
@@ -948,7 +915,6 @@ class Api:
         (session table, explore queue, fleet registry); sampling them at
         scrape time keeps the hot paths free of gauge writes entirely."""
         _SESSIONS_LIVE.set(len(self.sessions))
-        _SESSION_POOL_PENDING.set(self.session_pool.pending())
         depth = self.explore.queue_depth()
         _SWEEP_QUEUE.set(depth["queued"], state="queued")
         _SWEEP_QUEUE.set(depth["running"], state="running")

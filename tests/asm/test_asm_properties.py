@@ -67,8 +67,8 @@ def _shapes():
 
 
 SHAPES = _shapes()
-#: (``.2byte`` and ``.4byte`` are listed by the parser but do not lex)
-DATA_VALUE_DIRECTIVES = [".byte", ".hword", ".half", ".word", ".long"]
+DATA_VALUE_DIRECTIVES = [".byte", ".hword", ".half", ".2byte", ".word",
+                         ".4byte", ".long"]
 
 
 @st.composite
@@ -179,6 +179,9 @@ MALFORMED = [
     "add a0, , a1", "add a0, a1,", "lw a0, 4(sp", "add a0, a1, a2)",
     "add a0, f1, a2", "fadd.s f0, x1, f2", "beq a0, a1, nowhere",
     "jal nowhere", "la a0, nowhere", ".equ E, nowhere", "@",
+    "addi a0, x0, " + "(" * 400 + "1" + ")" * 400,
+    "addi a0, x0, " + "-" * 1000 + "1",
+    ".word " + "%lo(" * 200 + "1" + ")" * 200,
 ]
 
 
@@ -233,6 +236,17 @@ def test_program_or_syntax_error_at_the_line(case):
     except AsmSyntaxError as exc:
         assert not well_formed, f"{exc} in\n{source}"
         assert exc.line == line_no, f"{exc} in\n{source}"
+
+
+@pytest.mark.parametrize("sized,named", [(".2byte", ".half"),
+                                         (".4byte", ".word")])
+def test_sized_data_directives_match_their_named_twins(sized, named):
+    def data(directive):
+        program = assemble(f"    .data\nx: {directive} 5, -2, 0x1234, 'a'\n"
+                           f"y: {directive} K+1\n    .equ K, 6")
+        return bytes(program.data), program.labels
+
+    assert data(sized) == data(named)
 
 
 @pytest.mark.parametrize("body", MALFORMED)

@@ -5,7 +5,8 @@ import pytest
 from repro.compiler.cast import (Binary, Block, CType, For, Function, If,
                                  IntLit, Return, VarDecl, While)
 from repro.compiler.clexer import tokenize_c
-from repro.compiler.cparser import parse_c
+from repro.compiler.cparser import MAX_NESTING, parse_c
+from repro.compiler.driver import compile_c
 from repro.compiler.sema import check
 from repro.errors import CSyntaxError, CTypeError
 
@@ -207,3 +208,53 @@ int f(void) {
     def test_adding_two_pointers_rejected(self):
         with pytest.raises(CTypeError):
             self.check_src("int f(int *p, int *q){ return *(p + q); }")
+
+
+def _nth_column(line: str, token: str, n: int) -> int:
+    """1-based column of the *n*-th occurrence of *token* in *line*."""
+    index = -1
+    for _ in range(n):
+        index = line.index(token, index + 1)
+    return index + 1
+
+
+#: (line 2 of a function, the token that crosses MAX_NESTING, which of its
+#: occurrences that is); each nests far deeper than the limit
+DEEP_PROGRAMS = {
+    "parentheses": ("  return " + "(" * 140 + "1" + ")" * 140 + ";", "(",
+                    MAX_NESTING),
+    "operator chain": ("  return " + "+".join(["1"] * 500) + ";", "+",
+                       MAX_NESTING - 1),
+    "unary minus": ("  return " + "- " * 1000 + "1;", "-", MAX_NESTING),
+    "blocks": ("  " + "{" * 600 + "}" * 600, "{", MAX_NESTING + 1),
+    # the 100th if sits at depth 100: its condition crosses
+    "nested ifs": ("  " + "if (x) " * 600 + "x = 1;", "x", MAX_NESTING),
+    # the 98th if's then-branch nests ExprStmt, Assign and its target
+    # below it: the assignment's '=' crosses
+    "else-if chain": ("  " + "".join(f"if (x == {i}) x = 1; else "
+                                     for i in range(600)) + "x = 0;",
+                      "= 1;", MAX_NESTING - 2),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+    def test_too_deep_is_a_syntax_error_at_the_crossing_token(self, name):
+        line, token, occurrence = DEEP_PROGRAMS[name]
+        source = "int f(int x) {\n" + line + "\n  return x;\n}"
+        with pytest.raises(CSyntaxError, match="nesting deeper than") as info:
+            parse_c(source)
+        assert (info.value.line, info.value.column) \
+            == (2, _nth_column(line, token, occurrence))
+        result = compile_c(source, 2)
+        assert not result.success
+        assert result.errors[0]["line"] == 2
+
+    def test_nesting_up_to_the_limit_compiles(self):
+        """The deepest accepted program of each shape runs every pass."""
+        depth = MAX_NESTING - 2          # function body and return
+        for body in ("(" * depth + "x" + ")" * depth,
+                     "+".join(["x"] * (depth + 1)),
+                     "- " * depth + "x"):
+            result = compile_c(f"int f(int x) {{ return {body}; }}", 2)
+            assert result.success, body[:40]

@@ -136,8 +136,8 @@ class TestKeyedThreadPool:
         pool.close()
 
     def test_keys_run_in_parallel(self):
-        """Two keys on two workers overlap in time — the non-blocking
-        property the server's per-session executors rely on."""
+        """Two keys on two workers overlap in time: a busy key does not
+        block another."""
         pool = KeyedThreadPool(workers=2)
         barrier = threading.Barrier(2, timeout=5)
         futures = [pool.submit(key, barrier.wait) for key in ("a", "b")]

@@ -63,6 +63,15 @@ class TestFloatBits:
         assert math.isnan(bits.float32_round(float("nan")))
         assert bits.float32_round(float("inf")) == float("inf")
 
+    def test_float32_round_overflows_to_infinity(self):
+        """Past binary32's range the nearest value is an infinity; just
+        above the largest finite value still rounds down to it."""
+        largest = struct.unpack("<f", b"\xff\xff\x7f\x7f")[0]
+        assert bits.float32_round(largest + 2.0 ** 102) == largest
+        assert bits.float32_round(6.2e16 * 5.5e21) == math.inf
+        assert bits.float32_round(-1e39) == -math.inf
+        assert bits.float32_round(largest * 2) == math.inf
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_bit_roundtrip_property(self, value):
         assert bits.bits_to_float(bits.float_to_bits(value)) == value

@@ -1,6 +1,7 @@
 """Unit + property tests for the postfix expression interpreter."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 from repro.errors import DivisionByZeroError, ExpressionError
 from repro.isa.bits import to_int32, to_uint32
 from repro.isa.expression import EvalContext, Expression
+from repro.isa.instruction import ArgType
+from repro.isa.isa import default_instruction_set
 
 
 def ev(source, **values):
@@ -190,3 +193,72 @@ class TestProperties:
     def test_shift_pair(self, a, s):
         left = ev("\\a \\s <<", a=a, s=s)[0]
         assert left == to_int32(to_uint32(a) << s)
+
+
+def _isa_expressions():
+    """``(instruction, source, float operand names)`` of every
+    ``interpretableAs`` and ``target`` expression of the default
+    instruction set, one entry per distinct source."""
+    seen = {}
+    for definition in default_instruction_set().all():
+        floats = frozenset(arg.name for arg in definition.arguments
+                           if arg.type is ArgType.FLOAT)
+        for source in (definition.interpretable_as, definition.target):
+            if source and source not in seen:
+                seen[source] = (definition.name, source, floats)
+    return sorted(seen.values())
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same type: floats bit for bit, any NaN equal
+    to any NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) \
+            or struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def _outcome(run) -> tuple:
+    """``(result, assignments, exception)`` of *run*, or what it raised,
+    with exceptions reduced to comparable ``(type, message, pc)``."""
+    def error(exc):
+        return exc if exc is None \
+            else (type(exc), str(exc), getattr(exc, "pc", None))
+    try:
+        result, assignments, exception = run()
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return ("raised", error(exc))
+    return result, list(assignments), error(exception)
+
+
+class TestFusedMatchesInterpreter:
+    """``eval_fast`` (the generated code the pipeline runs) against the
+    stack machine ``evaluate`` runs, on every expression of the ISA."""
+
+    @pytest.mark.parametrize("case", _isa_expressions(),
+                             ids=lambda case: case[0])
+    @given(data=st.data())
+    def test_eval_fast_equals_interpret(self, case, data):
+        _name, source, floats = case
+        expr = Expression.compile(source)
+        values = {name: data.draw(st.floats(width=32) if name in floats
+                                  else st.integers(-2**31, 2**31 - 1),
+                                  label=name)
+                  for name in expr.references()}
+        pc = data.draw(st.integers(0, 2**32 - 4), label="pc")
+
+        def interpret():
+            ctx = EvalContext(values, pc=pc)
+            return expr._interpret(ctx), ctx.assignments, ctx.exception
+
+        fast = _outcome(lambda: expr.eval_fast(values, pc))
+        slow = _outcome(interpret)
+        assert len(fast) == len(slow)
+        if fast[0] == "raised" or slow[0] == "raised":
+            assert fast == slow
+            return
+        assert _same(fast[0], slow[0])
+        assert len(fast[1]) == len(slow[1])
+        for (name, value), (want_name, want) in zip(fast[1], slow[1]):
+            assert name == want_name and _same(value, want)
+        assert fast[2] == slow[2]

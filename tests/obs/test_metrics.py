@@ -1,6 +1,7 @@
 """Metrics registry: shard merging, monotone counters, histogram math,
 Prometheus rendering, and the determinism-cleanliness pin."""
 
+import sys
 import threading
 
 import pytest
@@ -84,6 +85,37 @@ class TestCounters:
         thread.start()
         thread.join()
         assert registry.scrape()[0]["values"][0]["value"] == 7
+
+    def test_ended_threads_leave_their_shards_to_new_ones(self):
+        """1,000 short-lived threads, four at a time, each count 20
+        times: the shard list stays at the four that wrote at once, and
+        no update is lost (two live threads sharing a shard would lose
+        some with threads switching this often)."""
+        registry = MetricsRegistry()
+        counter = registry.counter("short_total")
+        wall = registry.histogram("short_seconds")
+
+        def worker():
+            for _ in range(20):
+                counter.inc()
+            wall.observe(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(250):
+                wave = [threading.Thread(target=worker) for _ in range(4)]
+                for thread in wave:
+                    thread.start()
+                for thread in wave:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in wave)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(registry._shards) <= 4
+        hist, count = registry.scrape()       # sorted by family name
+        assert count["values"][0]["value"] == 20_000
+        assert hist["values"][0]["count"] == 1000
 
 
 class TestGauges:

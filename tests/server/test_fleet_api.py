@@ -223,16 +223,44 @@ class TestFleetSweeps:
             self, api, worker_servers):
         """The satellite fix: /explore/status reports the *reason* a
         fleet worker was excluded, not just a count."""
-        register_fleet(api, worker_servers[:1])
+        live = worker_servers[0]
+        register_fleet(api, [live])
         # a worker that registered then immediately died
-        api.handle("POST", "/fleet/register", {"url": "127.0.0.1:1"})
+        dead_url = "127.0.0.1:1"
+        api.handle("POST", "/fleet/register", {"url": dead_url})
+        sweep = {}
+
+        def dead_excluded():
+            if "id" not in sweep:
+                return False
+            status = api.handle("POST", "/explore/status",
+                                {"sweepId": sweep["id"]})
+            rows = status.get("execution", {}).get("remoteWorkers", [])
+            return any(row["url"] == dead_url and row["excluded"]
+                       for row in rows)
+
+        answer = live.api.handle
+
+        def held(method, path, payload):
+            # The dead worker is excluded after two failed jobs.  Were the
+            # live worker to answer at once, its two serve threads could
+            # finish all four jobs before the dead worker failed twice, so
+            # it holds its replies until the dead one is excluded.
+            if path.startswith("/worker/execute"):
+                deadline = time.monotonic() + 30.0
+                while not dead_excluded() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return answer(method, path, payload)
+
+        live.api.handle = held
         out = api.handle("POST", "/explore/submit",
                          {"spec": sweep_spec(), "backend": "fleet"})
+        sweep["id"] = out["sweepId"]
         status = wait_state(api, out["sweepId"])
         assert status["state"] == "done"
         rows = {row["url"]: row
                 for row in status["execution"]["remoteWorkers"]}
-        dead = rows["127.0.0.1:1"]
+        dead = rows[dead_url]
         assert dead["excluded"]
         assert dead["excludedReason"]        # a string, not just a flag
 

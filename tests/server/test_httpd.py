@@ -72,6 +72,27 @@ TRUNCATED_GZIP = gzip.compress(b'{"code": "nop"}')[:-6]
 GZIP_BOMB = gzip.compress(json.dumps({"code": " " * 100_000}).encode())
 
 
+class TestDeepNesting:
+    """Source nested past a front end's depth limit is a source error
+    (``success: false`` at a line and column), not a 500."""
+
+    def test_deep_sources_are_source_errors(self, client):
+        deep_operand = "    addi a0, x0, " + "(" * 400 + "1" + ")" * 400
+        for route, code in [
+                ("/parseAsm", deep_operand),
+                ("/simulate", "    addi a0, x0, " + "-" * 1000 + "1"),
+                ("/session/new", deep_operand),
+                ("/compile", "int main(void) { return "
+                 + "(" * 140 + "1" + ")" * 140 + "; }"),
+                ("/compile", "int main(void) { return "
+                 + "+".join(["1"] * 500) + "; }")]:
+            out = client.request("POST", route, {"code": code})
+            assert out["success"] is False, route
+            [error] = out["errors"]
+            assert error["line"] == 1 and "deeper than" in error["message"]
+        TestHostileBodies.assert_healthy(client)
+
+
 class TestHostileBodies:
     """Body-level garbage gets a prompt 4xx with a JSON error and leaves
     the server healthy (raw sockets: http.client would refuse to send

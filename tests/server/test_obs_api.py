@@ -1,6 +1,7 @@
 """Telemetry plane (protocol v7): /metrics, /trace/<sweepId>, and the
 client wrappers — over the in-process Api and over real HTTP."""
 
+import http.client
 import time
 
 import pytest
@@ -211,6 +212,32 @@ class TestOverHttp:
                    'le="+Inf"}' in text
         finally:
             client.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_fresh_connections_reuse_metric_shards(self):
+        """Each connection runs on a new thread that counts its request;
+        200 of them, one after another, leave the registry's shard list
+        about as long as it was, and every request is counted."""
+        registry = default_registry()
+        server = SimServer(("127.0.0.1", 0))
+        server.start_background()
+
+        def health_count():
+            return sum(cell["value"] for cell in family(
+                registry.scrape(), "repro_requests_total")["values"]
+                if cell["labels"]["route"] == "/health")
+
+        try:
+            before, shards = health_count(), len(registry._shards)
+            for _ in range(200):
+                conn = http.client.HTTPConnection("127.0.0.1", server.port)
+                conn.request("GET", "/health")
+                assert conn.getresponse().read()
+                conn.close()
+            assert health_count() - before == 200
+            assert len(registry._shards) - shards <= 8
+        finally:
             server.shutdown()
             server.server_close()
 
