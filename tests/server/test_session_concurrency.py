@@ -182,6 +182,25 @@ class TestOneSessionSerializes:
         assert seek["state"]["cycle"] == 10 and peak[0] == 1
         setup.close()
 
+    def test_concurrent_steps_to_one_session_all_land(self, server):
+        """Four connections each send five 7-cycle steps to one session:
+        the session ends exactly at the sum of every request."""
+        setup = connect(server)
+        session = setup.session_new(SPIN)
+
+        def stepper():
+            client = connect(server)
+            try:
+                for _ in range(5):
+                    assert client.session_step(session, 7)["success"]
+            finally:
+                client.close()
+
+        run_threads([stepper] * 4)
+        state = setup.session_state(session)["state"]
+        assert state["cycle"] == 4 * 5 * 7
+        setup.close()
+
 
 class TestCallingThread:
     def test_session_work_runs_on_the_calling_thread(self, monkeypatch):
