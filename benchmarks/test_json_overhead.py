@@ -91,7 +91,8 @@ def measure_snapshot_paths(steps: int = 160, warmup_cycles: int = 4000):
 
     * ``rebuild`` — every section and the full log rebuilt from scratch,
       the pre-state-engine behaviour (emulated by clearing the caches);
-    * ``full``    — the cached full snapshot (sections patched when dirty);
+    * ``full``    — the full state as the server sends it, spliced from
+      the fragment caches (sections patched when dirty);
     * ``delta``   — only changed sections + new log entries on the wire.
 
     The delta window runs last, so its longer log biases the comparison
@@ -129,7 +130,7 @@ def measure_snapshot_paths(steps: int = 160, warmup_cycles: int = 4000):
 
     def full_request():
         sim.step(1)
-        json.dumps({"success": True, "state": sim.snapshot()})
+        dumps_raw({"success": True, "state": RawJson(sim.snapshot_json())})
 
     def delta_request():
         # the path the HTTP layer serves: entry-level deltas, spliced into
@@ -171,17 +172,18 @@ def test_snapshot_delta_speedup_on_larger_example():
 
 def test_step_plus_delta_serialize_benchmark(benchmark):
     """Cost of one delta-served interactive step request."""
+    from repro.sim.state import RawJson, dumps_raw
+
     sim = Simulation.from_source(SUM_LOOP)
-    sim.snapshot()
+    sim.snapshot_json()
 
     def request():
         if sim.halted:
             sim.reset()
-            sim.snapshot()
+            sim.snapshot_json()
         sim.step(1)
-        return json.dumps(
-            {"success": True,
-             "stateDelta": sim.snapshot_delta(since_cycle=sim.cycle - 1)})
+        delta = sim.snapshot_delta_json(since_cycle=sim.cycle - 1)
+        return dumps_raw({"success": True, "stateDelta": RawJson(delta)})
 
     out = benchmark(request)
     assert out

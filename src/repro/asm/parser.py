@@ -342,7 +342,8 @@ class Assembler:
             rs1 = next(arg for arg in args if arg.name == "rs1")
             values["rs1"] = _register_operand([base_reg], rs1) if base_reg else "x0"
             if definition.mem_operand:
-                self._check_imm_range(definition.name, values["imm"], raw)
+                self._check_imm_range(definition.name, values["imm"],
+                                      groups[1][0])
             return {arg.name: values[arg.name] for arg in args}
 
         if len(groups) != len(args):
@@ -357,32 +358,34 @@ class Assembler:
             else:  # an immediate, or a branch target made PC-relative
                 branch = arg.type is ArgType.LABEL
                 value = _operand_value(group, labels) - (pc if branch else 0)
-                self._check_imm_range(definition.name, value, raw, branch)
+                self._check_imm_range(definition.name, value, group[0], branch)
                 operands[arg.name] = value
         return operands
 
     @staticmethod
-    def _check_imm_range(name: str, value: int, raw: _RawInstruction,
+    def _check_imm_range(name: str, value: int, at: Token,
                          branch: bool = False) -> None:
+        """Raise at *at*, the operand's first token (an ``offset(base)``
+        operand's offset), when *value* does not fit its field."""
         if branch:
             limit = 1 << 20 if name == "jal" else 1 << 12
             if not (-limit <= value < limit):
                 raise AsmSyntaxError(
                     f"branch target out of range for '{name}' ({value})",
-                    raw.line, raw.column)
+                    at.line, at.column)
             return
         if name in _IMM12 and not (-2048 <= value <= 2047):
             raise AsmSyntaxError(
                 f"immediate {value} out of 12-bit range for '{name}'",
-                raw.line, raw.column)
+                at.line, at.column)
         if name in _SHAMT and not (0 <= value <= 31):
             raise AsmSyntaxError(
                 f"shift amount {value} out of range for '{name}'",
-                raw.line, raw.column)
+                at.line, at.column)
         if name in _IMM20 and not (0 <= value <= 0xFFFFF):
             raise AsmSyntaxError(
                 f"immediate {value} out of 20-bit range for '{name}'",
-                raw.line, raw.column)
+                at.line, at.column)
 
 
 # ----------------------------------------------------------------------

@@ -535,13 +535,16 @@ class Cpu:
         return [s.to_json() for s in self.load_queue]
 
     def _snap_storeb(self) -> list:
-        return [
-            {"id": e.simcode.id,
-             "instruction": e.simcode.instruction.render(),
-             "address": e.address, "committed": e.committed,
-             "drainUntil": e.drain_until}
-            for e in self.store_buffer
-        ]
+        return [self.storeb_entry(e) for e in self.store_buffer]
+
+    @staticmethod
+    def storeb_entry(entry) -> dict:
+        """Payload of one store-buffer entry: its drain state, not
+        instruction JSON (the ``id`` resolves entry-level deltas)."""
+        return {"id": entry.simcode.id,
+                "instruction": entry.simcode.instruction.render(),
+                "address": entry.address, "committed": entry.committed,
+                "drainUntil": entry.drain_until}
 
     def _snap_cache_lines(self):
         return self.cache.lines_snapshot() if self.cache else None
@@ -570,7 +573,8 @@ class Cpu:
         }
 
     def snapshot(self) -> dict:
-        """Complete processor-view payload (Fig. 12).
+        """Complete processor-view payload (Fig. 12) as a dict: the
+        library form of the :meth:`section_json` texts the server sends.
 
         Sections are cached keyed by their dirty version (see
         :mod:`repro.sim.state`): a stalled machine rebuilds almost nothing,
@@ -583,40 +587,28 @@ class Cpu:
             data[name] = section(name, versions[name], builders[name])
         return data
 
-    def snapshot_sections(self, since: Optional[Dict[str, object]] = None) -> dict:
-        """Payloads of the sections whose version moved past *since*.
-
-        *since* is a map previously returned by :meth:`section_versions`;
-        ``None`` returns every section.  Used by the delta-serving session
-        path, so the wire payload scales with what changed."""
-        versions = self.section_versions()
-        section = self._snap_cache.section
-        builders = self._section_builders
-        return {
-            name: section(name, versions[name], builders[name])
-            for name in SNAPSHOT_SECTIONS
-            if since is None or since.get(name) != versions[name]
-        }
-
     # -- serialized fragments (repro.sim.state.RawJson) ------------------
+    @staticmethod
+    def _json_list(simcodes) -> str:
+        """Spliced per-instruction fragments, with ``json.dumps``'s own
+        separators so the text is the bytes of the dict payload."""
+        return "[" + ", ".join([s.to_json_str() for s in simcodes]) + "]"
+
     def _json_fetch(self) -> str:
-        buffer = ",".join(s.to_json_str() for s in self.fetch_buffer)
         return (f'{{"pc": {self.pc}, '
                 f'"stalledUntil": {self.fetch_stall_until}, '
-                f'"buffer": [{buffer}]}}')
+                f'"buffer": {self._json_list(self.fetch_buffer)}}}')
 
     def _json_rob(self) -> str:
-        return "[" + ",".join(s.to_json_str() for s in self.rob) + "]"
+        return self._json_list(self.rob)
 
     def _json_windows(self) -> str:
-        parts = []
-        for name, window in self.windows.items():
-            entries = ",".join(s.to_json_str() for s in window)
-            parts.append(f"{json.dumps(name)}: [{entries}]")
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(
+            f"{json.dumps(name)}: {self._json_list(window)}"
+            for name, window in self.windows.items()) + "}"
 
     def _json_loadq(self) -> str:
-        return "[" + ",".join(s.to_json_str() for s in self.load_queue) + "]"
+        return self._json_list(self.load_queue)
 
     def section_json(self, name: str,
                      version: Optional[object] = None) -> str:

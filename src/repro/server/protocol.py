@@ -9,7 +9,12 @@ Handlers receive plain dicts and return plain dicts — or, for the two
 non-JSON replies, an event iterator (a ``stream`` route) or a text string
 (``/metrics?format=prometheus``); the HTTP layer (or the in-process test
 harness) does (de)serialization, so the JSON cost the paper measures can be
-benchmarked separately from the simulation cost.
+benchmarked separately from the simulation cost.  Processor state is the
+exception: ``session/step``, ``session/state``, ``session/seek`` and
+``/simulate`` with ``fullState`` carry it as pre-serialized
+:class:`~repro.sim.state.RawJson` text, which ``dumps_raw`` splices into
+the reply verbatim (decode a reply with ``json.loads(dumps_raw(reply))``
+to index it).
 
 Every handler runs to completion on the thread that called
 :meth:`Api.handle` — over HTTP, the connection's own thread.  A session's
@@ -104,6 +109,20 @@ MAX_STEP_CYCLES = 100_000
 #: It also caps the cycle budget of one ``/simulate`` run
 MAX_SEEK_CYCLE = 10_000_000
 
+#: most characters of ``code`` the front-end routes (``/compile``,
+#: ``/parseAsm``, ``/simulate``, ``/session/new``) accept.  A front end
+#: keeps ~130 B per token, so the 16 MiB body bound alone would let one
+#: request grow it by gigabytes; at this bound the worst shape found
+#: peaks at ~50 MB (C) and ~20 MB (assembly).  The largest source in the
+#: tests, examples and e2e inputs is 15,527 characters
+MAX_SOURCE_CHARS = 64 * 1024
+
+#: most bytes one ``/session/memory`` view serves (hex-encoded, and as a
+#: value list with a ``dtype``), whether sized by ``size`` or by a
+#: symbol: the default memory capacity.  The largest view the tests,
+#: examples and e2e inputs ask for is 12 bytes
+MAX_MEMORY_VIEW_BYTES = 64 * 1024
+
 
 class ApiError(Exception):
     """Protocol-level error with an HTTP-ish status code."""
@@ -115,6 +134,18 @@ class ApiError(Exception):
 
     def to_json(self) -> dict:
         return {"error": self.message, "status": self.status}
+
+
+def _source(payload: dict, what: str) -> str:
+    """The request's ``code``: a string of at most
+    :data:`MAX_SOURCE_CHARS` characters of *what*."""
+    code = payload.get("code")
+    if not isinstance(code, str):
+        raise ApiError(f"'code' ({what} string) is required")
+    if len(code) > MAX_SOURCE_CHARS:
+        raise ApiError(f"'code' is {len(code)} characters, more than the "
+                       f"{MAX_SOURCE_CHARS} a request may carry")
+    return code
 
 
 def _parse_memory_locations(payload: dict) -> List[MemoryLocation]:
@@ -253,9 +284,7 @@ class Api:
 
     # ------------------------------------------------------------------
     def compile(self, payload: dict) -> dict:
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise ApiError("'code' (C source string) is required")
+        code = _source(payload, "C source")
         level = self._parse_int(payload, "optimizeLevel", default=1)
         if not 0 <= level <= 3:
             raise ApiError("optimizeLevel must be 0..3")
@@ -263,9 +292,7 @@ class Api:
                          run_filter=bool(payload.get("filter", False))).to_json()
 
     def parse_asm(self, payload: dict) -> dict:
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise ApiError("'code' (assembly string) is required")
+        code = _source(payload, "assembly")
         config = _parse_config(payload) or CpuConfig()
         try:
             program = Assembler().assemble(
@@ -282,9 +309,7 @@ class Api:
         }
 
     def simulate(self, payload: dict) -> dict:
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise ApiError("'code' (assembly string) is required")
+        code = _source(payload, "assembly")
         config = _parse_config(payload) or CpuConfig()
         max_cycles = payload.get("maxCycles")
         if max_cycles is not None:
@@ -307,14 +332,12 @@ class Api:
             raise ApiError(str(exc)) from exc
         out = {"success": True, "result": result.to_json()}
         if payload.get("fullState"):
-            out["state"] = simulation.snapshot()
+            out["state"] = RawJson(simulation.snapshot_json())
         return out
 
     # -- sessions -----------------------------------------------------------
     def session_new(self, payload: dict) -> dict:
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise ApiError("'code' (assembly string) is required")
+        code = _source(payload, "assembly")
         try:
             session = self.sessions.create(
                 code, config=_parse_config(payload),
@@ -354,6 +377,11 @@ class Api:
                 "bytesRetained": ring.bytes_retained()}
 
     def session_step(self, payload: dict) -> dict:
+        """Step a session forward (``cycles`` > 0) or back, then serve its
+        state: the full state, or, for any truthy ``delta`` (``true`` and
+        ``"encoded"`` alike), a delta against the view the session served
+        last.  Either is JSON text from the simulation's fragment caches
+        (:class:`RawJson`), which ``dumps_raw`` splices into the reply."""
         session = self._session(payload)
         cycles = self._parse_int(payload, "cycles", default=1)
         if cycles == 0:
@@ -368,13 +396,7 @@ class Api:
                 session.simulation.step(cycles)
             else:
                 session.simulation.step_back(-cycles)
-            delta = payload.get("delta")
-            if delta == "encoded":
-                # pre-serialized from the fragment caches; spliced
-                # verbatim into the response body (dumps_raw)
-                out["stateFormat"] = "delta"
-                out["stateDelta"] = RawJson(session.serve_delta_json())
-            elif delta:
+            if payload.get("delta"):
                 out["stateFormat"] = "delta"
                 out["stateDelta"] = session.serve_delta()
             else:
@@ -440,8 +462,10 @@ class Api:
             else:
                 address = self._parse_int(payload, "address", default=0)
                 size = self._parse_int(payload, "size", default=64)
-            if size <= 0 or size > memory.capacity:
-                raise ApiError(f"invalid size {size}")
+            limit = min(memory.capacity, MAX_MEMORY_VIEW_BYTES)
+            if not 0 < size <= limit:
+                raise ApiError(f"invalid size {size}: a view holds 1 to "
+                               f"{limit} bytes")
             version = memory.version
             if payload.get("sinceVersion") == version:
                 return {"success": True, "unchanged": True,

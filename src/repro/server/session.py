@@ -3,7 +3,10 @@
 The web client holds a session per open simulator tab; each session wraps a
 :class:`repro.sim.simulation.Simulation` and supports forward steps,
 backward steps (deterministic re-run, Sec. III-B) and cycle seeking.
-Sessions are identified by opaque ids and evicted after a TTL.
+Sessions are identified by opaque ids and evicted after a TTL.  A
+session serves its state as JSON text (:class:`repro.sim.state.RawJson`)
+spliced from the simulation's fragment caches: the full state, or a
+delta against the view it served last (``Session.view_cycle``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.config import CpuConfig
 from repro.memory.layout import MemoryLocation
 from repro.sim.simulation import Simulation
+from repro.sim.state import RawJson
 
 
 class Session:
@@ -34,26 +38,25 @@ class Session:
         self.last_used = time.monotonic()
 
     # -- delta-serving state views (hold ``lock`` while calling) ---------
-    def serve_state(self) -> dict:
-        """Full snapshot; establishes the delta base for later requests."""
-        state = self.simulation.snapshot()
-        self.view_cycle = state["cycle"]
+    def serve_state(self) -> RawJson:
+        """Full state as JSON text (``Simulation.snapshot_json``);
+        establishes the delta base for later requests."""
+        state = RawJson(self.simulation.snapshot_json())
+        self.view_cycle = self.simulation.cycle
         return state
 
-    def serve_delta(self) -> dict:
-        """Delta against the last served view (full when no base exists or
-        time moved backwards); see ``Simulation.snapshot_delta``."""
-        delta = self.simulation.snapshot_delta(since_cycle=self.view_cycle)
-        self.view_cycle = (delta["state"]["cycle"]
-                          if delta["format"] == "full" else delta["cycle"])
+    def serve_delta(self) -> RawJson:
+        """Delta against the last served view as JSON text, the full state
+        when no base exists or time moved backwards
+        (``Simulation.snapshot_delta_json``)."""
+        delta = RawJson(self.simulation.snapshot_delta_json(
+            since_cycle=self.view_cycle))
+        self.view_cycle = self.simulation.cycle
         return delta
 
-    def serve_delta_json(self) -> str:
-        """Pre-serialized :meth:`serve_delta` assembled from the state
-        engine's fragment caches (``Simulation.snapshot_delta_json``)."""
-        text = self.simulation.snapshot_delta_json(since_cycle=self.view_cycle)
-        self.view_cycle = self.simulation.cycle
-        return text
+    # alias only: benchmarks/e2e/serverboot.py wraps this name; drop it at
+    # the next change to the benchmark
+    serve_delta_json = serve_delta
 
 
 class SessionManager:

@@ -47,6 +47,10 @@ from repro.sim.statistics import RuntimeStatistics
 #: ``tests/fleet/test_cancel.py``.
 DEFAULT_CANCEL_STRIDE = 5_000
 
+#: instruction-list sections that delta-serve at entry level
+_ENTRY_SECTIONS = ("fetch", "rob", "issueWindows", "loadQueue",
+                   "storeBuffer")
+
 #: halt reason of a run stopped by a cancel token — deterministic (no
 #: reason text embedded) so cancelled records stay comparable
 CANCELLED_HALT_REASON = "cancelled"
@@ -346,73 +350,49 @@ class Simulation:
                            len(self.cpu.log), self._entry_versions(),
                            self._storeb_versions())
 
-    @staticmethod
-    def _entry_delta_list(simcodes, known: dict, plain: list):
-        """Entry-level delta of one instruction-list payload.
+    def _entry_delta(self, name: str, known: dict,
+                     known_storeb: dict) -> Optional[str]:
+        """Entry-level delta of instruction-list section *name* as JSON
+        text, or None when it would not be smaller than the section.
 
-        *known* maps instruction id -> ``sver`` the client's base snapshot
-        was served at; entries whose version is unchanged are referenced by
-        id only (``apply_snapshot_delta`` resolves them from the base).
-        Falls back to the *plain* full list when nothing would be saved."""
-        changed = {str(s.id): s.to_json()
-                   for s in simcodes if known.get(s.id) != s.sver}
-        if len(changed) >= len(simcodes):
-            return plain
-        return {"__entryDelta": True,
-                "ids": [s.id for s in simcodes],
-                "changed": changed}
-
-    def _entry_delta_fetch(self, known: dict, plain: dict):
-        """Entry-level delta of the fetch section (scalars + buffer list).
-
-        The pc / stalledUntil scalars always ride along (they are what
-        usually dirties the section); buffer instructions unchanged since
-        the client's base are referenced by id."""
-        buffer = self.cpu.fetch_buffer
-        changed = {str(s.id): s.to_json()
-                   for s in buffer if known.get(s.id) != s.sver}
-        if len(changed) >= len(buffer):
-            return plain
-        return {"__entryDelta": True,
-                "pc": plain["pc"],
-                "stalledUntil": plain["stalledUntil"],
-                "ids": [s.id for s in buffer],
-                "changed": changed}
-
-    def _entry_delta_storeb(self, known: dict, plain: list):
-        """Entry-level delta of the store buffer.
-
-        *plain* is the section payload (aligned with ``cpu.store_buffer``);
-        entries whose (address, committed, drainUntil) state matches the
-        client's base are referenced by id and resolved there."""
-        entries = self.cpu.store_buffer
-        changed = {}
-        for position, entry in enumerate(entries):
-            state = (entry.address, entry.committed, entry.drain_until)
-            if known.get(entry.simcode.id) != state:
-                changed[str(entry.simcode.id)] = plain[position]
-        if len(changed) >= len(entries):
-            return plain
-        return {"__entryDelta": True,
-                "ids": [e.simcode.id for e in entries],
-                "changed": changed}
-
-    def _entry_delta_windows(self, known: dict, plain: dict):
-        """Entry-level delta of the issue-windows payload (dict of lists)."""
+        Entries still at the version the client's base was served at
+        (*known*: instruction id -> ``SimCode.sver``; *known_storeb*: a
+        store-buffer entry's visible drain state) are referenced by id
+        only and resolved from the base by ``apply_snapshot_delta``; the
+        others ride along, encoded in one call (each moved since the last
+        serve, so no cached fragment of theirs is current).  The fetch
+        section's pc / stalledUntil scalars always ride along."""
         cpu = self.cpu
-        total = 0
-        changed = {}
-        for window in cpu.windows.values():
-            for simcode in window:
-                total += 1
-                if known.get(simcode.id) != simcode.sver:
-                    changed[str(simcode.id)] = simcode.to_json()
-        if len(changed) >= total:
-            return plain
-        return {"__entryDelta": True,
-                "windows": {name: [s.id for s in window]
-                            for name, window in cpu.windows.items()},
-                "changed": changed}
+        if name == "storeBuffer":
+            entries = cpu.store_buffer
+            ids = [e.simcode.id for e in entries]
+            changed = {str(e.simcode.id): cpu.storeb_entry(e)
+                       for e in entries
+                       if known_storeb.get(e.simcode.id)
+                       != (e.address, e.committed, e.drain_until)}
+        else:
+            if name == "issueWindows":
+                simcodes = [s for window in cpu.windows.values()
+                            for s in window]
+            else:
+                simcodes = {"fetch": cpu.fetch_buffer, "rob": cpu.rob,
+                            "loadQueue": cpu.load_queue}[name]
+            ids = [s.id for s in simcodes]
+            changed = {str(s.id): s.to_json() for s in simcodes
+                       if known.get(s.id) != s.sver}
+        if len(changed) >= len(ids):
+            return None
+        if name == "issueWindows":
+            layout = '"windows": {' + ", ".join(
+                f"{json.dumps(window)}: {json.dumps([s.id for s in queue])}"
+                for window, queue in cpu.windows.items()) + "}"
+        else:
+            layout = f'"ids": {json.dumps(ids)}'
+        if name == "fetch":
+            layout = (f'"pc": {cpu.pc}, '
+                      f'"stalledUntil": {cpu.fetch_stall_until}, {layout}')
+        return (f'{{"__entryDelta": true, {layout}, '
+                f'"changed": {json.dumps(changed)}}}')
 
     def snapshot_cold(self) -> dict:
         """Cache-bypassing full snapshot: ground truth for tests and the
@@ -429,82 +409,31 @@ class Simulation:
         return self.snapshot()
 
     def snapshot(self) -> dict:
-        """Full processor-state payload for the web client.
+        """Full processor-state payload as a dict: the library form of
+        :meth:`snapshot_json` (which the server sends), and the oracle
+        :meth:`snapshot_cold` builds from empty caches.
 
-        Also records the view mark that :meth:`snapshot_delta` patches
-        against, so a full snapshot is always a valid delta base."""
+        Also records the view mark that :meth:`snapshot_delta_json`
+        patches against, so a full snapshot is always a valid delta
+        base."""
         data = self.cpu.snapshot()
         data["statistics"] = self.stats.panel(expanded=True)
         data["log"] = self._rendered_log()
         self._mark_view()
         return data
 
-    def snapshot_delta(self, since_cycle: Optional[int] = None) -> dict:
-        """Delta payload against the snapshot served at *since_cycle*.
-
-        Returns ``{"format": "delta", ...}`` holding only the sections whose
-        dirty version moved, the new log entries, and the (always-fresh)
-        statistics panel — apply it with
-        :func:`repro.sim.state.apply_snapshot_delta`.  Falls back to
-        ``{"format": "full", "state": <snapshot>}`` when *since_cycle* does
-        not match the last served view or time moved backwards (a rewound
-        log cannot be expressed as an append)."""
-        mark = self._view_mark
-        cpu = self.cpu
-        if (mark is None or since_cycle is None or mark[0] != since_cycle
-                or cpu.cycle < mark[0] or len(cpu.log) < mark[2]):
-            return {"format": "full", "schema": SNAPSHOT_SCHEMA_VERSION,
-                    "state": self.snapshot()}
-        _, versions, log_len, known, known_storeb = mark
-        sections = cpu.snapshot_sections(versions)
-        # the instruction-list whales shrink further to entry-level deltas
-        if "rob" in sections:
-            sections["rob"] = self._entry_delta_list(
-                cpu.rob, known, sections["rob"])
-        if "loadQueue" in sections:
-            sections["loadQueue"] = self._entry_delta_list(
-                cpu.load_queue, known, sections["loadQueue"])
-        if "issueWindows" in sections:
-            sections["issueWindows"] = self._entry_delta_windows(
-                known, sections["issueWindows"])
-        if "fetch" in sections:
-            sections["fetch"] = self._entry_delta_fetch(
-                known, sections["fetch"])
-        if "storeBuffer" in sections:
-            sections["storeBuffer"] = self._entry_delta_storeb(
-                known_storeb, sections["storeBuffer"])
-        delta = {
-            "format": "delta",
-            "schema": SNAPSHOT_SCHEMA_VERSION,
-            "baseCycle": since_cycle,
-            "cycle": cpu.cycle,
-            "pc": cpu.pc,
-            "halted": cpu.halted,
-            "sections": sections,
-            "logStart": log_len,
-            "log": [{"cycle": cycle, "message": message}
-                    for cycle, message in cpu.log[log_len:]],
-            "statistics": self.stats.panel(expanded=True),
-        }
-        self._mark_view()
-        return delta
-
     def snapshot_json(self) -> str:
-        """Pre-serialized full snapshot, value-identical to
-        :meth:`snapshot`, assembled from the state engine's serialized
-        fragment caches (``Cpu.section_json`` / ``SimCode.to_json_str``):
-        unchanged instructions and sections are never re-encoded, which
-        removes the JSON share the paper measured at ~60 % of request
-        handling from full-state serves (session start, rewind resyncs).
-        Wrap the result in :class:`repro.sim.state.RawJson` to splice it
-        into a response."""
+        """Full processor state as JSON text: the bytes ``json.dumps``
+        writes for :meth:`snapshot`, spliced from the state engine's
+        fragment caches (``Cpu.section_json`` / ``SimCode.to_json_str``),
+        so unchanged instructions and sections are never re-encoded.
+        Records the delta base like :meth:`snapshot`.  Wrap the text in
+        :class:`repro.sim.state.RawJson` to splice it into a reply."""
         cpu = self.cpu
-        versions = cpu.section_versions()
         parts = [f'"cycle": {cpu.cycle}', f'"pc": {cpu.pc}',
                  f'"halted": {json.dumps(cpu.halted)}']
-        for name in versions:
-            parts.append(f'{json.dumps(name)}: '
-                         f'{cpu.section_json(name, versions[name])}')
+        for name, version in cpu.section_versions().items():
+            parts.append(f'"{name}": {cpu.section_json(name, version)}')
         parts.append(f'"statistics": '
                      f'{json.dumps(self.stats.panel(expanded=True))}')
         parts.append(f'"log": {json.dumps(self._rendered_log())}')
@@ -512,11 +441,15 @@ class Simulation:
         return "{" + ", ".join(parts) + "}"
 
     def snapshot_delta_json(self, since_cycle: Optional[int] = None) -> str:
-        """Pre-serialized :meth:`snapshot_delta` (byte-equivalent payload).
+        """Delta against the view served at *since_cycle*, as JSON text.
 
-        Entry-level deltas keep this payload small enough that one C-encoder
-        pass serializes it; the full-state fallback goes through the
-        fragment-cached :meth:`snapshot_json` instead."""
+        ``{"format": "delta", ...}`` holds only the sections whose dirty
+        version moved (instruction lists shrink further to entry-level
+        deltas), the new log entries and the always-fresh statistics
+        panel; apply it with :func:`repro.sim.state.apply_snapshot_delta`.
+        Falls back to ``{"format": "full", "state": <snapshot_json>}``
+        when *since_cycle* is not the last served view or time moved
+        backwards (a rewound log cannot be expressed as an append)."""
         mark = self._view_mark
         cpu = self.cpu
         if (mark is None or since_cycle is None or mark[0] != since_cycle
@@ -524,7 +457,29 @@ class Simulation:
             return (f'{{"format": "full", '
                     f'"schema": {SNAPSHOT_SCHEMA_VERSION}, '
                     f'"state": {self.snapshot_json()}}}')
-        return json.dumps(self.snapshot_delta(since_cycle))
+        base_cycle, served, log_len, known, known_storeb = mark
+        sections = []
+        for name, version in cpu.section_versions().items():
+            if served[name] != version:
+                text = (name in _ENTRY_SECTIONS
+                        and self._entry_delta(name, known, known_storeb)
+                        or cpu.section_json(name, version))
+                sections.append(f'"{name}": {text}')
+        log = json.dumps([{"cycle": cycle, "message": message}
+                          for cycle, message in cpu.log[log_len:]])
+        statistics = json.dumps(self.stats.panel(expanded=True))
+        self._mark_view()
+        return (f'{{"format": "delta", '
+                f'"schema": {SNAPSHOT_SCHEMA_VERSION}, '
+                f'"baseCycle": {base_cycle}, "cycle": {cpu.cycle}, '
+                f'"pc": {cpu.pc}, "halted": {json.dumps(cpu.halted)}, '
+                f'"sections": {{{", ".join(sections)}}}, '
+                f'"logStart": {log_len}, "log": {log}, '
+                f'"statistics": {statistics}}}')
+
+    def snapshot_delta(self, since_cycle: Optional[int] = None) -> dict:
+        """:meth:`snapshot_delta_json` decoded, for library callers."""
+        return json.loads(self.snapshot_delta_json(since_cycle))
 
     def register_value(self, name: str):
         """Committed architectural value of a register (tests, CLI)."""

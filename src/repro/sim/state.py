@@ -29,16 +29,25 @@ On top of the protocol this module provides the three generic pieces the
 snapshot/seek/serve stack is built from:
 
 * :class:`SnapshotCache` — per-section payload caching keyed by version,
-  used by ``Cpu.snapshot()`` to patch the processor-view payload from dirty
-  components only instead of rebuilding every section each cycle.
+  used by ``Cpu.section_json`` (and the dict ``Cpu.snapshot()``) to patch
+  the processor-view payload from dirty components only instead of
+  rebuilding every section each cycle.
 * :class:`CheckpointRing` — a bounded, LRU-evicted ring of full-state
   checkpoints taken every K cycles, used by ``Simulation`` to turn
   ``step_back``/``seek`` from an O(t) re-run into restore-nearest +
   replay-at-most-K (the checkpoint at cycle 0 is pinned so time travel to
   any cycle always has a base).
 * :func:`apply_snapshot_delta` — client-side patching of a full snapshot
-  with a delta produced by ``Simulation.snapshot_delta``, so the wire
+  with a delta produced by ``Simulation.snapshot_delta_json``, so the wire
   payload scales with what changed, not with machine size.
+
+State has one encoder on the wire: ``Simulation.snapshot_json`` (full)
+and ``Simulation.snapshot_delta_json`` (a delta, or the same full text
+when there is no valid base) splice the cached section and instruction
+fragments with ``json.dumps``'s own separators, and the server embeds the
+text as :class:`RawJson`.  A reply's bytes therefore equal ``json.dumps``
+of the dict form, ``Simulation.snapshot()``, which stays only as the
+library API and, through ``snapshot_cold()``, the tests' oracle.
 
 Determinism (Sec. III-B of the paper) is what makes checkpoint replay
 sound: restoring the nearest checkpoint and re-running the remaining cycles
@@ -332,7 +341,7 @@ def _storeb_pool(base: dict) -> Dict[int, dict]:
 def apply_snapshot_delta(base: dict, delta: dict) -> dict:
     """Patch full snapshot *base* with *delta* into the next full snapshot.
 
-    The inverse of ``Simulation.snapshot_delta``: applying the delta a
+    The inverse of ``Simulation.snapshot_delta_json``: applying the delta a
     server produced against the client's previous full state yields exactly
     what ``Simulation.snapshot()`` would have returned.  Instruction-list
     sections may arrive as entry-level deltas (``{"__entryDelta": true,

@@ -168,6 +168,13 @@ BAD_TOKENS = {
 }
 for _kind in ("i", "shamt", "u20", "l", "m", "v", "a"):
     BAD_TOKENS[_kind] = ["nowhere", "017", "sp"]
+#: values out of their field's range: reported at the operand, and at an
+#: ``offset(base)`` operand's offset
+BAD_TOKENS["i"] += ["5000", "-2049"]
+BAD_TOKENS["shamt"] += ["32", "40", "-1"]
+BAD_TOKENS["u20"] += ["0x100000", "-1"]
+BAD_TOKENS["m"] += ["9000(x2)", "-2049(sp)"]
+BAD_TOKENS["l"] += ["c0+2000000", "c1-2000000"]
 
 #: malformed line bodies, each an error at its own line
 MALFORMED = [
@@ -278,6 +285,11 @@ def line_with_bad_token(draw):
 @example(("    lw x1, 4(q9)", 1, 13))
 @example(("    li x5, bogus+", 1, 12))
 @example(("/* c */ addi a0, x0, q", 1, 22))
+@example(("    addi x1, x2, 5000", 1, 18))
+@example(("nop\n    beq x1, x2, far\n" + "nop\n" * 1100 + "far: nop", 2, 17))
+@example(("slli x1, x2, 40", 1, 14))
+@example(("lw x1, 9000(x2)", 1, 8))
+@example(("jal x1, 3000000", 1, 9))
 def test_bad_operand_reported_at_its_column(case):
     source, line_no, column = case
     try:

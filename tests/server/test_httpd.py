@@ -13,7 +13,9 @@ from repro.server.client import SimClient
 from repro.server.httpd import SimServer
 from repro.server.loadtest import (DEFAULT_PROGRAMS, LoadTestConfig,
                                    format_table1, run_load_test)
-from repro.server.protocol import ApiError
+from repro.core.config import CpuConfig
+from repro.server.protocol import (MAX_MEMORY_VIEW_BYTES, MAX_SOURCE_CHARS,
+                                   ApiError)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,59 @@ class TestDeepNesting:
             assert out["success"] is False, route
             [error] = out["errors"]
             assert error["line"] == 1 and "deeper than" in error["message"]
+        TestHostileBodies.assert_healthy(client)
+
+
+class TestRequestBounds:
+    """A source past ``MAX_SOURCE_CHARS`` or a memory view past
+    ``MAX_MEMORY_VIEW_BYTES`` gets a 400 with an error body before a
+    front end or the view encoder runs; at the bound it is served."""
+
+    #: one cheap statement padded by a comment to *n* characters
+    SOURCES = {"/compile": "int main(void) { return 0; } //",
+               "/parseAsm": "ebreak #", "/simulate": "ebreak #",
+               "/session/new": "ebreak #"}
+
+    @classmethod
+    def source(cls, route, n):
+        head = cls.SOURCES[route]
+        return head + "x" * (n - len(head))
+
+    @pytest.mark.parametrize("route", sorted(SOURCES))
+    def test_source_past_the_bound_is_400(self, client, route):
+        with pytest.raises(ApiError, match="more than the") as info:
+            client.request("POST", route,
+                           {"code": self.source(route, MAX_SOURCE_CHARS + 1)})
+        assert info.value.status == 400
+        out = client.request("POST", route,
+                             {"code": self.source(route, MAX_SOURCE_CHARS)})
+        assert out["success"] is True, out
+        if route == "/session/new":
+            assert client.session_close(out["sessionId"])["success"]
+        TestHostileBodies.assert_healthy(client)
+
+    def test_memory_view_past_the_bound_is_400(self, client):
+        config = CpuConfig().to_json()
+        config["memory"]["capacity"] = 4 * MAX_MEMORY_VIEW_BYTES
+        big = MAX_MEMORY_VIEW_BYTES + 4
+        sid = client.session_new(
+            "ebreak", config=config,
+            memory=[{"name": "fits", "dtype": "byte",
+                     "values": [7] * MAX_MEMORY_VIEW_BYTES},
+                    {"name": "big", "dtype": "byte", "values": [1] * big}])
+        for view in ({"address": 0, "size": MAX_MEMORY_VIEW_BYTES + 1},
+                     {"symbol": "big"}):
+            with pytest.raises(ApiError, match="invalid size") as info:
+                client.session_memory(sid, **view)
+            assert info.value.status == 400
+        view = client.session_memory(sid, symbol="fits")
+        assert view["size"] == MAX_MEMORY_VIEW_BYTES
+        assert view["values"] == [7] * MAX_MEMORY_VIEW_BYTES
+        view = client.session_memory(sid, address=0,
+                                     size=MAX_MEMORY_VIEW_BYTES)
+        assert len(view["bytes"]) == 2 * MAX_MEMORY_VIEW_BYTES
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
         TestHostileBodies.assert_healthy(client)
 
 

@@ -1,10 +1,19 @@
 """Protocol-layer tests (no HTTP transport)."""
 
+import json
+
 import pytest
 
 from repro.core.config import CpuConfig
 from repro.memory.main_memory import MAX_CAPACITY
 from repro.server.protocol import MAX_SEEK_CYCLE, Api, ApiError
+from repro.sim.state import dumps_raw
+
+
+def wire(reply):
+    """A reply as a client decodes it: state arrives as pre-serialized
+    JSON text, spliced into the body by ``dumps_raw``."""
+    return json.loads(dumps_raw(reply))
 
 
 @pytest.fixture
@@ -122,11 +131,11 @@ class TestSimulate:
         assert out["success"]
 
     def test_with_memory_locations(self, api):
-        out = api.handle("POST", "/simulate", {
+        out = wire(api.handle("POST", "/simulate", {
             "code": "la t0, arr\nlw a0, 0(t0)\nebreak",
             "memory": [{"name": "arr", "dtype": "word", "values": [321]}],
             "fullState": True,
-        })
+        }))
         assert out["success"]
         assert out["state"]["registers"]["int"][10] == 321
 
@@ -192,22 +201,22 @@ class TestSessions:
     def test_lifecycle(self, api):
         out = api.handle("POST", "/session/new", {"code": PROGRAM})
         sid = out["sessionId"]
-        state = api.handle("POST", "/session/step",
-                           {"sessionId": sid, "cycles": 5})["state"]
+        state = wire(api.handle("POST", "/session/step",
+                                {"sessionId": sid, "cycles": 5}))["state"]
         assert state["cycle"] == 5
-        state = api.handle("POST", "/session/step",
-                           {"sessionId": sid, "cycles": -3})["state"]
+        state = wire(api.handle("POST", "/session/step",
+                                {"sessionId": sid, "cycles": -3}))["state"]
         assert state["cycle"] == 2      # backward simulation over the API
-        state = api.handle("POST", "/session/seek",
-                           {"sessionId": sid, "cycle": 10})["state"]
+        state = wire(api.handle("POST", "/session/seek",
+                                {"sessionId": sid, "cycle": 10}))["state"]
         assert state["cycle"] == 10
         assert api.handle("POST", "/session/close",
                           {"sessionId": sid})["success"]
 
     def test_state_endpoint(self, api):
         sid = api.handle("POST", "/session/new", {"code": PROGRAM})["sessionId"]
-        state = api.handle("POST", "/session/state",
-                           {"sessionId": sid})["state"]
+        state = wire(api.handle("POST", "/session/state",
+                                {"sessionId": sid}))["state"]
         assert state["cycle"] == 0
 
     def test_session_payloads_carry_checkpoint_gauge(self, api):
@@ -262,7 +271,8 @@ class TestStepValidation:
     def test_rejected_step_does_not_advance(self, api, sid):
         with pytest.raises(ApiError):
             api.handle("POST", "/session/step", {"sessionId": sid, "cycles": 0})
-        state = api.handle("POST", "/session/state", {"sessionId": sid})
+        state = wire(api.handle("POST", "/session/state",
+                                {"sessionId": sid}))
         assert state["state"]["cycle"] == 0
 
     def test_absurd_seek_rejected(self, api, sid):
@@ -279,24 +289,26 @@ class TestDeltaServing:
         from repro.sim.state import apply_snapshot_delta
         api = Api()
         sid = api.handle("POST", "/session/new", {"code": PROGRAM})["sessionId"]
-        first = api.handle("POST", "/session/step",
-                           {"sessionId": sid, "cycles": 2, "delta": True})
+        first = wire(api.handle("POST", "/session/step",
+                                {"sessionId": sid, "cycles": 2,
+                                 "delta": True}))
         assert first["stateFormat"] == "delta"
         assert first["stateDelta"]["format"] == "full"   # no base yet
         view = first["stateDelta"]["state"]
         for _ in range(4):
-            out = api.handle("POST", "/session/step",
-                             {"sessionId": sid, "cycles": 1, "delta": True})
+            out = wire(api.handle("POST", "/session/step",
+                                  {"sessionId": sid, "cycles": 1,
+                                   "delta": True}))
             delta = out["stateDelta"]
             assert delta["format"] == "delta"
             view = apply_snapshot_delta(view, delta)
-        full = api.handle("POST", "/session/state", {"sessionId": sid})
+        full = wire(api.handle("POST", "/session/state", {"sessionId": sid}))
         assert view == full["state"]
 
     def test_full_payload_remains_default(self, api):
         sid = api.handle("POST", "/session/new", {"code": PROGRAM})["sessionId"]
-        out = api.handle("POST", "/session/step",
-                         {"sessionId": sid, "cycles": 3})
+        out = wire(api.handle("POST", "/session/step",
+                              {"sessionId": sid, "cycles": 3}))
         assert out["stateFormat"] == "full"
         assert out["state"]["cycle"] == 3
         assert out["protocolVersion"] >= 2
@@ -305,8 +317,9 @@ class TestDeltaServing:
         sid = api.handle("POST", "/session/new", {"code": PROGRAM})["sessionId"]
         api.handle("POST", "/session/step",
                    {"sessionId": sid, "cycles": 10, "delta": True})
-        out = api.handle("POST", "/session/step",
-                         {"sessionId": sid, "cycles": -4, "delta": True})
+        out = wire(api.handle("POST", "/session/step",
+                              {"sessionId": sid, "cycles": -4,
+                               "delta": True}))
         assert out["stateDelta"]["format"] == "full"
         assert out["stateDelta"]["state"]["cycle"] == 6
 

@@ -9,6 +9,7 @@ that read it, holding its session's lock.  What that guarantees:
 * a bad request comes back as a 4xx and leaves the server healthy.
 """
 
+import json
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from repro.server.client import SimClient
 from repro.server.httpd import SimServer
 from repro.server.protocol import Api, ApiError
 from repro.sim.simulation import Simulation
+from repro.sim.state import dumps_raw
 
 #: spins until the cycle budget; every step request costs real simulation
 SPIN = "spin:\n    j spin\n"
@@ -208,8 +210,8 @@ class TestCallingThread:
         the thread that called ``Api.handle``."""
         threads = []
         for name in ("step", "step_back", "seek", "snapshot",
-                     "snapshot_delta", "snapshot_delta_json",
-                     "symbol_address"):
+                     "snapshot_json", "snapshot_delta",
+                     "snapshot_delta_json", "symbol_address"):
             method = getattr(Simulation, name)
 
             def recorded(self, *args, _method=method, **kwargs):
@@ -226,7 +228,8 @@ class TestCallingThread:
                              {"code": SUM_LOOP})["sessionId"]
 
             def call(route, **body):
-                return api.handle("POST", route, {"sessionId": sid, **body})
+                reply = api.handle("POST", route, {"sessionId": sid, **body})
+                return json.loads(dumps_raw(reply))
 
             assert call("/session/step", cycles=5)["state"]["cycle"] == 5
             delta = call("/session/step", cycles=2, delta=True)

@@ -1,12 +1,14 @@
 """SessionManager lifecycle tests: TTL eviction, overflow eviction, and
 concurrent create/get (the registry is shared by every HTTP worker)."""
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.server.session import SessionManager
+from repro.sim.state import dumps_raw
 
 NOP = "    nop\n    ebreak"
 
@@ -134,5 +136,6 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert not errors
-        state = api.handle("POST", "/session/state", {"sessionId": sid})
+        state = json.loads(dumps_raw(
+            api.handle("POST", "/session/state", {"sessionId": sid})))
         assert state["state"]["cycle"] == 4 * 10 * 5

@@ -335,18 +335,28 @@ class TestSnapshotDelta:
                 break
         assert sim.halted  # the kernel finishes inside the budget
 
-    def test_encoded_delta_is_value_identical(self):
-        """snapshot_delta_json parses back to exactly snapshot_delta."""
-        a = Simulation.from_source(MEM_LOOP)
-        b = Simulation.from_source(MEM_LOOP)
-        a.snapshot()
-        b.snapshot()
-        for _ in range(60):
-            a.step(1)
-            b.step(1)
-            d = a.snapshot_delta(since_cycle=a.cycle - 1)
-            dj = json.loads(b.snapshot_delta_json(since_cycle=b.cycle - 1))
-            assert d == dj
+    def test_encoded_state_has_the_bytes_of_json_dumps(self):
+        """The wire encoder splices fragments with ``json.dumps``'s own
+        separators: a full state is byte-equal to ``json.dumps`` of the
+        dict form, and a delta (entry-level sections and the full-state
+        fallback after a step back included) re-encodes to itself."""
+        sim = Simulation.from_source(MEM_LOOP)
+        oracle = Simulation.from_source(MEM_LOOP)
+        sim.snapshot_json()
+        deltas = []
+        for move in [1] * 60 + [-7, 2, 1, 1]:
+            base = sim.cycle
+            for each in (sim, oracle):
+                if move > 0:
+                    each.step(move)
+                else:
+                    each.step_back(-move)
+            delta = sim.snapshot_delta_json(since_cycle=base)
+            assert json.dumps(json.loads(delta)) == delta
+            deltas.append(delta)
+            assert sim.snapshot_json() == json.dumps(oracle.snapshot())
+        assert any('"__entryDelta": true' in delta for delta in deltas)
+        assert any('"format": "full"' in delta for delta in deltas)
 
     def test_encoded_full_snapshot_is_value_identical(self):
         a = Simulation.from_source(MEM_LOOP)
