@@ -39,7 +39,6 @@ LOCK_MODULES = (
     "src/repro/explore/backend.py",
     "src/repro/explore/warehouse.py",
     "src/repro/fleet/registry.py",
-    "src/repro/fleet/scheduler.py",
     "src/repro/fleet/cancel.py",
     "src/repro/server/session.py",
     "src/repro/obs/metrics.py",

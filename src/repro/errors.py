@@ -18,6 +18,11 @@ class ConfigError(ReproError):
     """Invalid processor / memory / predictor configuration."""
 
 
+class FleetError(ReproError):
+    """A fleet sweep cannot run for an operator-reportable reason
+    (typically: no registered workers to run on)."""
+
+
 class SourceError(ReproError):
     """An error in user source code, carrying an editor-highlightable span.
 

@@ -7,18 +7,14 @@ One protocol, three ways to burn CPU on a design-space sweep:
 * :class:`ProcessBackend` — the :class:`repro.explore.pool.ProcessWorkerPool`
   (W local processes, per-job timeouts, crash isolation) behind the
   backend interface.
-* :class:`RemoteBackend` — jobs fan out over HTTP to a fleet of
-  repro-server sweep workers (the protocol-v4 ``/worker/execute``
-  endpoint): a bounded in-flight window per worker, per-job
-  timeout/retry with **at most one re-dispatch**, and worker health
-  tracking that excludes a dead worker while the sweep completes on the
-  rest.
-
-(The server-owned, dynamically-membered fourth backend —
-:class:`repro.fleet.scheduler.FleetBackend` — extends ``RemoteBackend``
-from the fleet subsystem; its membership comes from a live
-:class:`repro.fleet.registry.WorkerRegistry` instead of a fixed URL
-list.)
+* :class:`RemoteBackend` — jobs fan out over HTTP to repro-server sweep
+  workers (the protocol-v4 ``/worker/execute`` endpoint): a bounded
+  in-flight window per worker, per-job timeout/retry with **at most one
+  re-dispatch**, and worker health tracking that excludes a dead worker
+  while the sweep completes on the rest.  Its membership is either a
+  fixed ``--worker-url`` list, which never changes, or the server's live
+  :class:`repro.fleet.registry.WorkerRegistry` (``"backend": "fleet"``),
+  which workers join and leave mid-sweep.
 
 The invariant that makes the plurality safe is inherited from the pool
 and extended: every backend runs the *same* worker function
@@ -38,7 +34,7 @@ further job is dispatched, undispatched jobs report ``kind="cancelled"``
 with the identical message on every backend, and in-flight jobs are
 stopped as fast as the backend can manage — the serial loop via the
 simulation's stride check, the process pool by killing the worker, the
-remote backends by propagating ``/worker/cancel`` so the worker's own
+remote backend by propagating ``/worker/cancel`` so the worker's own
 stride check halts the job within one interval.
 """
 
@@ -50,6 +46,7 @@ import uuid
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
+from repro.errors import FleetError
 from repro.explore.pool import (CANCELLED_MESSAGE, CancelLike, JobResult,
                                 ProcessWorkerPool)
 from repro.obs.metrics import default_registry
@@ -64,8 +61,9 @@ __all__ = [
 ]
 
 #: names accepted by the CLI / ``resolve_backend``.  The server-side
-#: ``/explore/submit`` additionally accepts ``"fleet"`` — that backend is
-#: built from the server's worker registry, never from CLI arguments.
+#: ``/explore/submit`` additionally accepts ``"fleet"`` — a
+#: :class:`RemoteBackend` over the server's worker registry, never built
+#: from CLI arguments.
 BACKEND_NAMES = ("serial", "process", "remote")
 
 #: spawn-safe dotted reference of the worker task (shared with the
@@ -75,6 +73,9 @@ _RUNNER_TASK = "repro.explore.runner:execute_payload"
 #: message used for a worker lost mid-job, byte-identical across the
 #: process and remote backends so crash records compare equal
 _CRASH_MESSAGE = "worker process died mid-job"
+
+#: exclusion reason of a registry worker that dropped out of the live set
+_LEFT_REASON = "left the fleet (heartbeat expired)"
 
 OnResult = Optional[Callable[[JobResult], None]]
 OnDispatch = Optional[Callable[[int, object], None]]
@@ -240,7 +241,7 @@ class _RemoteWorker:
             self.excluded_reason = reason
 
     def readmit(self) -> None:
-        """Clear exclusion state (a fleet worker re-joining mid-sweep)."""
+        """Clear exclusion state (a registry worker re-joining mid-sweep)."""
         self.excluded = False
         self.excluded_reason = None
         self.consecutive_failures = 0
@@ -280,14 +281,24 @@ class _PendingJob:
 
 
 class RemoteBackend(ExecutionBackend):
-    """HTTP fan-out over a fleet of repro-server sweep workers.
+    """HTTP fan-out over repro-server sweep workers.
 
     Parameters
     ----------
-    worker_urls:
-        ``host:port`` (or ``http://host:port``) per worker server (a
-        ``repro-sim worker`` / ``repro-server`` exposing the protocol-v4
-        ``/worker/execute`` endpoint).
+    members:
+        The workers.  A list of ``host:port`` (or ``http://host:port``)
+        URLs of servers exposing the protocol-v4 ``/worker/execute``
+        endpoint (``repro-sim worker`` / ``repro-server``) is a
+        membership that never changes: backend ``"remote"``.  A
+        :class:`repro.fleet.registry.WorkerRegistry` is one that does:
+        backend ``"fleet"``, raising :class:`repro.errors.FleetError`
+        while the registry has no live worker.  Every *poll_s* the run
+        reconciles with the registry's live set — a worker that joins
+        starts pulling pending jobs, one whose heartbeat expired is
+        excluded as ``left the fleet``, and one that re-registers as a
+        new generation (a restart) is readmitted even after a
+        transport-failure exclusion.  Membership decides only *where*
+        jobs run, so records stay byte-identical through any churn.
     job_timeout_s:
         Per-job wall-clock budget, enforced client-side as the HTTP
         request timeout.  On expiry the job reports ``kind="timeout"``
@@ -301,13 +312,12 @@ class RemoteBackend(ExecutionBackend):
     fail_threshold:
         Consecutive transport failures after which a worker is excluded
         from the rest of the sweep.
-    cancel_jobs_on_workers:
-        When true, every dispatch carries a ``cancelId`` and a fired
-        cancel token is propagated to the owning worker via
-        ``POST /worker/cancel`` — the worker's stride check then stops
-        the job within one interval.  The fleet backend turns this on;
-        the plain CLI remote backend leaves it off by default (its jobs
-        are bounded by ``job_timeout_s`` / the cycle budget either way).
+    poll_s:
+        Registry reconciliation period.
+    no_worker_grace_s:
+        How long a run whose every worker is gone, with jobs unfinished,
+        waits for a replacement to register before the rest report
+        ``kind="crash"``.  A fixed list stops at once: nothing can join.
     artifact_store:
         The frontend's :class:`repro.explore.artifacts.ArtifactCache`.
         Together with *artifact_origin* it turns on the artifact data
@@ -320,7 +330,13 @@ class RemoteBackend(ExecutionBackend):
         keeps every dispatch inline.
     artifact_origin:
         ``host:port`` workers can fetch artifacts from (normally the
-        frontend server's bound address).
+        frontend server's bound address).  ``fetchFrom`` lists it first,
+        then up to two registry workers whose heartbeat advertises the
+        compile key.
+
+    Every dispatch carries a ``cancelId``: a fired cancel token is
+    propagated to the owning worker via ``POST /worker/cancel``, whose
+    stride check then stops the job within one interval.
 
     A job lost to a transport failure (connection refused/reset — the
     worker died) is re-dispatched **at most once**, preferably to a
@@ -333,15 +349,26 @@ class RemoteBackend(ExecutionBackend):
 
     name = "remote"
 
-    def __init__(self, worker_urls: Sequence[str],
+    def __init__(self, members,
                  job_timeout_s: Optional[float] = None,
                  inflight_per_worker: int = 2,
                  fail_threshold: int = 2,
+                 poll_s: float = 0.25,
+                 no_worker_grace_s: float = 5.0,
                  client_factory: Optional[Callable] = None,
-                 cancel_jobs_on_workers: bool = False,
                  artifact_store=None,
                  artifact_origin: Optional[str] = None):
-        if not worker_urls:
+        #: the live membership source, or None for a fixed URL list
+        self.registry = members if hasattr(members, "live") else None
+        if self.registry is not None:
+            self.name = "fleet"
+            members = self._live()
+            if not members:
+                raise FleetError(
+                    "no registered fleet workers (start workers with "
+                    "'repro-sim worker --register HOST:PORT' and wait for "
+                    "their first heartbeat)")
+        elif not members:
             raise ValueError("remote backend needs at least one worker URL")
         if inflight_per_worker < 1:
             raise ValueError("inflight_per_worker must be >= 1")
@@ -349,16 +376,24 @@ class RemoteBackend(ExecutionBackend):
             raise ValueError("fail_threshold must be >= 1")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive")
-        self._workers = [_RemoteWorker(url) for url in worker_urls]
+        self._workers = [_RemoteWorker(url) for url in members]
         addresses = [(w.host, w.port) for w in self._workers]
         if len(set(addresses)) != len(addresses):
             raise ValueError(f"duplicate worker URLs: "
                              f"{[w.url for w in self._workers]}")
+        #: registry generation last seen per URL — a *bumped* generation
+        #: means the worker re-registered after expiring (restart /
+        #: recovery), which is the readmission signal that clears even a
+        #: transport-failure exclusion: the process we failed against is
+        #: gone, so its failure streak says nothing about its successor
+        self._seen_generation = dict(members) \
+            if self.registry is not None else {}
         self.workers = len(self._workers)
         self.job_timeout_s = job_timeout_s
         self.inflight_per_worker = inflight_per_worker
         self.fail_threshold = fail_threshold
-        self.cancel_jobs_on_workers = cancel_jobs_on_workers
+        self.poll_s = poll_s
+        self.no_worker_grace_s = no_worker_grace_s
         self.artifact_store = artifact_store
         self.artifact_origin = artifact_origin
         self._client_factory = client_factory or self._default_client
@@ -370,8 +405,8 @@ class RemoteBackend(ExecutionBackend):
     #: socket cannot stall a sweep forever
     DEFAULT_SOCKET_TIMEOUT_S = 600.0
 
-    #: supervision tick: how often the run loop checks thread liveness,
-    #: the cancel token, and (fleet) registry membership
+    #: supervision tick: how often the run loop checks thread liveness
+    #: and the cancel token
     SUPERVISE_TICK_S = 0.05
 
     def _default_client(self, worker: _RemoteWorker):
@@ -380,12 +415,30 @@ class RemoteBackend(ExecutionBackend):
             else self.DEFAULT_SOCKET_TIMEOUT_S
         return SimClient(worker.host, worker.port, timeout=timeout)
 
+    def _live(self) -> Dict[str, int]:
+        """The registry's live members, ``url -> generation``."""
+        return {member.url: member.generation
+                for member in self.registry.live()}
+
     # -- artifact data plane (protocol v8) -------------------------------
-    def _fetch_from_for(self, ref: dict) -> List[str]:
-        """Fetch-source URLs for one artifact reference: the frontend
-        origin; the fleet subclass appends peer-worker hints for keys
-        other workers already advertise."""
-        return [self.artifact_origin]
+    def _advertised_keys(self) -> Dict[str, List[str]]:
+        """``compile key -> advertising worker URLs`` from the registry's
+        latest heartbeat cache stats (see
+        :meth:`repro.explore.artifacts.ArtifactCache.heartbeat_stats`);
+        empty for a fixed list."""
+        peers: Dict[str, List[str]] = {}
+        for member in self.registry.live() \
+                if self.registry is not None else ():
+            stats = member.cache_stats or {}
+            if not isinstance(stats, dict):
+                continue
+            keys = stats.get("keys") or {}
+            advertised = keys.get("compiled") if isinstance(keys, dict) \
+                else None
+            for key in advertised or ():
+                if isinstance(key, str):
+                    peers.setdefault(key, []).append(member.url)
+        return peers
 
     def _prepare_dataplane(self, payloads: Sequence[dict]):
         """``(wire payloads, prefetch refs)`` for this run.
@@ -400,6 +453,7 @@ class RemoteBackend(ExecutionBackend):
         if self.artifact_store is None or not self.artifact_origin \
                 or not fetch_enabled():
             return list(payloads), []
+        peers = self._advertised_keys()
         wire: List[dict] = []
         refs: List[dict] = []
         seen: Dict[str, bool] = {}
@@ -415,7 +469,14 @@ class RemoteBackend(ExecutionBackend):
             level = int(payload.get("optimizeLevel",
                                     spec.get("optimizeLevel", 1)))
             ref = dict(self.artifact_store.register_program(spec, level))
-            ref["fetchFrom"] = self._fetch_from_for(ref)
+            # origin first, then up to two workers already holding the
+            # compiled artifact: cold workers can pull from warm siblings
+            # when the frontend is the fetch bottleneck
+            fetch_from = [self.artifact_origin]
+            for url in peers.get(ref.get("compileKey"), ())[:2]:
+                if url not in fetch_from:
+                    fetch_from.append(url)
+            ref["fetchFrom"] = fetch_from
             program = {"artifactRef": ref}
             if "name" in spec:
                 program["name"] = spec["name"]
@@ -439,8 +500,16 @@ class RemoteBackend(ExecutionBackend):
         state = _RemoteRun(self, payloads, on_result, on_dispatch, cancel,
                            wire_payloads=wire_payloads,
                            prefetch_refs=prefetch_refs)
-        for worker in self._workers:
-            worker.readmit()
+        with self._lock:
+            for worker in self._workers:
+                worker.readmit()
+        if self.registry is not None:
+            # members may have come or gone since construction (a server
+            # builds the backend at submit, then queues the sweep)
+            self._reconcile()
+        with self._lock:
+            starting = [w for w in self._workers if not w.excluded]
+        for worker in starting:
             self._start_worker(state, worker)
         self._supervise(state)
         # jobs no healthy worker could take (every worker excluded),
@@ -467,15 +536,24 @@ class RemoteBackend(ExecutionBackend):
     def _supervise(self, state: "_RemoteRun") -> None:
         """Babysit the serve threads until the run settles.
 
-        Checks the cancel token (draining + propagating on the first
-        fire) and gives subclasses a membership hook each tick; exits
-        when every thread is done and :meth:`_keep_waiting` declines to
-        wait for replacements.
+        Each tick checks the cancel token (draining + propagating on the
+        first fire); every ``poll_s`` a registry membership is
+        reconciled and joined or readmitted workers get serve threads.
+        Returns once every thread is done and the jobs are settled, the
+        run was cancelled, or no worker can still join: a fixed list
+        never gains one, a registry gets ``no_worker_grace_s``.
         """
+        next_poll = 0.0
+        idle_since: Optional[float] = None
         while True:
             if _is_cancelled(state.cancel):
                 state.handle_cancel()
-            self._poll_membership(state)
+            now = time.monotonic()
+            if self.registry is not None and now >= next_poll:
+                next_poll = now + self.poll_s
+                for worker in self._reconcile():
+                    idle_since = None
+                    self._start_worker(state, worker)
             alive = False
             for thread in list(state.threads):
                 thread.join(timeout=self.SUPERVISE_TICK_S)
@@ -486,25 +564,61 @@ class RemoteBackend(ExecutionBackend):
                 continue
             with self._lock:
                 settled = len(state.results) == len(state.payloads)
-            if settled or state.cancel_fired \
-                    or not self._keep_waiting(state):
+            if settled or state.cancel_fired or self.registry is None:
                 return
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            if now - idle_since > self.no_worker_grace_s:
+                return
+            next_poll = 0.0               # poll eagerly while stranded
             time.sleep(self.SUPERVISE_TICK_S)
 
-    # -- subclass hooks -------------------------------------------------
-    def _poll_membership(self, state: "_RemoteRun") -> None:
-        """Fleet hook: reconcile workers with live registry membership."""
-
-    def _keep_waiting(self, state: "_RemoteRun") -> bool:
-        """Whether an idle run (no live threads, jobs unfinished) should
-        keep waiting for workers to appear.  The static remote backend
-        never waits — its fleet cannot grow."""
-        return False
+    def _reconcile(self) -> List[_RemoteWorker]:
+        """Match the worker rows to the registry's live set; returns the
+        workers that joined or were readmitted."""
+        live = self._live()
+        joined = []
+        with self._lock:
+            for worker in self._workers:
+                if worker.url in live:
+                    generation = live[worker.url]
+                    seen = self._seen_generation.get(worker.url,
+                                                     generation)
+                    self._seen_generation[worker.url] = max(generation,
+                                                            seen)
+                    # a new generation (restarted worker) clears any
+                    # exclusion; a same-generation return only clears a
+                    # membership one — a worker we excluded for transport
+                    # failures that never restarted is still the same
+                    # broken process
+                    if worker.excluded and (
+                            generation > seen
+                            or worker.excluded_reason == _LEFT_REASON):
+                        worker.readmit()
+                        joined.append(worker)
+                elif not worker.excluded:
+                    worker.exclude(_LEFT_REASON)
+                    self._wake.notify_all()
+            known = {worker.url for worker in self._workers}
+            for url, generation in live.items():
+                if url not in known:
+                    worker = _RemoteWorker(url)
+                    self._workers.append(worker)
+                    self._seen_generation[url] = generation
+                    joined.append(worker)
+            self.workers = sum(1 for w in self._workers if not w.excluded)
+        return joined
 
     def describe(self) -> dict:
-        return {"backend": self.name, "workers": self.workers,
-                "inflightPerWorker": self.inflight_per_worker,
-                "remoteWorkers": [w.to_json() for w in self._workers]}
+        with self._lock:
+            data = {"backend": self.name, "workers": self.workers,
+                    "inflightPerWorker": self.inflight_per_worker,
+                    "remoteWorkers": [w.to_json() for w in self._workers]}
+        if self.registry is not None:
+            data["membership"] = "registry"
+            data["pollS"] = self.poll_s
+        return data
 
 
 class _RemoteRun:
@@ -538,7 +652,7 @@ class _RemoteRun:
         #: job index -> worker currently executing it (cancel targets)
         self.inflight: Dict[int, _RemoteWorker] = {}
         #: every serve thread of this run (supervision; grows mid-run
-        #: when a fleet worker joins — mutated only by the supervisor
+        #: when a registry worker joins — mutated only by the supervisor
         #: and the initial spawn, both on the run's calling thread)
         self.threads: List[threading.Thread] = []
 
@@ -552,7 +666,7 @@ class _RemoteRun:
             self.backend._wake.notify_all()
         # every settle path funnels through here, so the counter sees
         # drained cancellations and crash tails too (labelled "fleet"
-        # for the registry-backed subclass via backend.name)
+        # for a registry membership via backend.name)
         _observe_result(self.backend.name, result)
         if self.on_result is not None:
             self.on_result(result)
@@ -573,7 +687,7 @@ class _RemoteRun:
     def handle_cancel(self) -> None:
         """First-fire cancel handling: drain undispatched jobs as
         ``cancelled`` results and propagate ``/worker/cancel`` for every
-        in-flight job (when the backend dispatches cancel ids)."""
+        in-flight job."""
         with self.backend._lock:
             if self.cancel_fired:
                 return
@@ -588,11 +702,9 @@ class _RemoteRun:
         for index in drained:
             self.finish(JobResult(index=index, kind="cancelled",
                                   error=CANCELLED_MESSAGE))
-        if self.backend.cancel_jobs_on_workers:
-            reason = getattr(self.cancel, "reason", None) or "cancelled"
-            for index, worker in inflight.items():
-                self._send_worker_cancel(worker, self.cancel_id(index),
-                                         reason)
+        reason = getattr(self.cancel, "reason", None) or "cancelled"
+        for index, worker in inflight.items():
+            self._send_worker_cancel(worker, self.cancel_id(index), reason)
 
     def _send_worker_cancel(self, worker: _RemoteWorker, cancel_id: str,
                             reason: str) -> None:
@@ -663,12 +775,11 @@ class _RemoteRun:
                  job: _PendingJob) -> None:
         backend = self.backend
         started = time.monotonic()
-        cancel_id = self.cancel_id(job.index) \
-            if backend.cancel_jobs_on_workers else None
         body = self.payloads[job.index] if job.inline \
             else self.wire_payloads[job.index]
         try:
-            reply = client.worker_execute(body, cancel_id=cancel_id)
+            reply = client.worker_execute(
+                body, cancel_id=self.cancel_id(job.index))
         except TimeoutError:
             if backend.job_timeout_s is None:
                 # no job budget configured: a socket timeout is just a

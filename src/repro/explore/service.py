@@ -11,9 +11,9 @@ Three fleet-era capabilities live here:
 
 * **backend selection** — a submit may name its execution backend:
   ``"serial"``, ``"process"`` (the historical ``workers`` inference
-  picks between these two), or ``"fleet"`` — the server-owned
-  :class:`repro.fleet.scheduler.FleetBackend` built from the live
-  worker registry via the attached :class:`FleetScheduler`.
+  picks between these two), or ``"fleet"`` — a
+  :class:`repro.explore.backend.RemoteBackend` over the attached worker
+  registry, built at submit so an empty registry refuses the sweep.
 * **cancellation** — every sweep carries a
   :class:`repro.fleet.cancel.CancelToken`; :meth:`ExploreManager.cancel`
   dequeues a queued sweep outright and fires the token of a running one
@@ -34,6 +34,8 @@ import uuid
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import FleetError
+from repro.explore.backend import RemoteBackend
 from repro.explore.engine import run_sweep
 from repro.explore.plan import plan_jobs
 from repro.explore.pool import default_worker_count
@@ -69,7 +71,7 @@ class SweepState:
                  "total", "completed", "failed", "records", "error",
                  "submitted", "started", "finished", "elapsed_s",
                  "backend", "running", "dispatched", "elapsed_jobs",
-                 "cancel", "events", "execution", "live_backend",
+                 "cancel", "events", "execution", "fleet_backend",
                  "trace_enabled", "spans", "job_starts")
 
     def __init__(self, spec: SweepSpec, jobs: list, workers: int,
@@ -102,9 +104,11 @@ class SweepState:
         self.cancel = CancelToken()
         #: ordered progress events (seq-stamped; see ExploreManager)
         self.events: List[dict] = []
-        #: backend.describe() — live while running (fleet), final after
+        #: backend.describe() after the run (while running, a fleet
+        #: sweep's rows come live from fleet_backend)
         self.execution: Optional[dict] = None
-        self.live_backend = None
+        #: the RemoteBackend a "fleet" sweep runs on (built at submit)
+        self.fleet_backend: Optional[RemoteBackend] = None
         #: span tree bookkeeping (GET /trace/<sweepId>); job/worker
         #: spans accumulate here, the root and queueWait spans are
         #: synthesized at read time so a mid-run trace is still a tree
@@ -149,11 +153,10 @@ class SweepState:
         wall = self.wall_time_json()
         if wall is not None:
             data["jobWallTime"] = wall
-        backend_obj = self.live_backend
-        if backend_obj is not None:
-            data["execution"] = backend_obj.describe()
-        elif self.execution is not None:
+        if self.execution is not None:
             data["execution"] = self.execution
+        elif self.state == "running" and self.fleet_backend is not None:
+            data["execution"] = self.fleet_backend.describe()
         if self.state in ("done", "failed", "cancelled"):
             data["elapsedS"] = round(self.elapsed_s, 4)
         if self.cancel.cancelled():
@@ -190,15 +193,16 @@ class SweepState:
 class ExploreManager:
     """Bounded queue + registry of design-space sweeps.
 
-    ``scheduler`` (a :class:`repro.fleet.scheduler.FleetScheduler`) is
-    attached by the server's :class:`repro.server.protocol.Api`; without
-    one, ``"backend": "fleet"`` submissions are rejected.
+    The server's :class:`repro.server.protocol.Api` attaches its worker
+    registry (``fleet``) and artifact store (``artifacts``), and the HTTP
+    layer sets ``dataplane_origin`` once bound; a ``"backend": "fleet"``
+    sweep runs on a :class:`RemoteBackend` built from these three.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  job_timeout_s: Optional[float] = 300.0,
                  max_pending: int = 8, max_finished: int = 32,
-                 max_jobs: int = 4096, scheduler=None):
+                 max_jobs: int = 4096):
         self.workers = workers if workers is not None \
             else min(4, default_worker_count())
         self.job_timeout_s = job_timeout_s
@@ -216,7 +220,12 @@ class ExploreManager:
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "forkserver" if "forkserver" in methods \
             else "spawn"
-        self.scheduler = scheduler
+        #: fleet sweeps: the worker registry, the artifact store
+        #: dispatches reference, and the ``host:port`` workers fetch
+        #: artifacts from (None keeps dispatches inline)
+        self.fleet = None
+        self.artifacts = None
+        self.dataplane_origin: Optional[str] = None
         #: attached cross-run result warehouse
         #: (:class:`repro.explore.warehouse.ResultWarehouse`); when set,
         #: the runner thread ingests every sweep that finishes ``done``
@@ -255,8 +264,8 @@ class ExploreManager:
         submit (not the sweep) and a big grid is never expanded twice.
         Raises :class:`repro.explore.spec.SweepSpecError` on a bad spec,
         :class:`MetricError` on a bad metric,
-        :class:`repro.fleet.scheduler.FleetError` on a fleet submit with
-        no registered workers, and :class:`OverflowError` when the queue
+        :class:`repro.errors.FleetError` on a fleet submit with no
+        registered workers, and :class:`OverflowError` when the queue
         is full — the protocol layer maps each to an HTTP error without
         this module knowing about transports.
         """
@@ -267,15 +276,16 @@ class ExploreManager:
             raise SweepSpecError(
                 f"unknown backend {backend!r} "
                 f"(one of {list(SERVER_BACKENDS)})")
+        if job_timeout_s is None:
+            job_timeout_s = self.job_timeout_s
+        fleet_backend = None
         if backend == "fleet":
-            from repro.fleet.scheduler import FleetError
-            if self.scheduler is None:
-                raise FleetError("this server has no fleet scheduler")
-            if self.scheduler.available() < 1:
-                raise FleetError(
-                    "no registered fleet workers (start workers with "
-                    "'repro-sim worker --register HOST:PORT' and wait "
-                    "for their first heartbeat)")
+            if self.fleet is None:
+                raise FleetError("this server has no worker registry")
+            fleet_backend = RemoteBackend(
+                self.fleet, job_timeout_s=job_timeout_s,
+                artifact_store=self.artifacts,
+                artifact_origin=self.dataplane_origin)
         spec = SweepSpec.from_json(spec_data)
         planned = spec.samples if spec.sampling == "random" \
             else spec.grid_size()
@@ -294,10 +304,8 @@ class ExploreManager:
             # historical workers==0 inference into the serial loop
             sweep_workers = max(1, sweep_workers)
         state = SweepState(spec, jobs, sweep_workers,
-                           job_timeout_s=job_timeout_s
-                           if job_timeout_s is not None
-                           else self.job_timeout_s,
-                           backend=backend)
+                           job_timeout_s=job_timeout_s, backend=backend)
+        state.fleet_backend = fleet_backend
         state.trace_enabled = bool(trace)
         if state.trace_enabled:
             # trace context rides in the job payload (the one channel
@@ -418,17 +426,6 @@ class ExploreManager:
         while len(finished) > self.max_finished:
             del self._sweeps[finished.pop(0)]
 
-    def _build_backend(self, state: SweepState):
-        """Fleet sweeps get a registry-backed backend; serial/process
-        keep the historical ``workers`` resolution inside run_sweep."""
-        if state.backend != "fleet":
-            return None
-        from repro.fleet.scheduler import FleetError
-        if self.scheduler is None:  # pragma: no cover - submit rejects
-            raise FleetError("this server has no fleet scheduler")
-        return self.scheduler.build_backend(
-            job_timeout_s=state.job_timeout_s)
-
     def _run_loop(self) -> None:
         while True:
             with self._lock:
@@ -479,10 +476,10 @@ class ExploreManager:
                         elapsedS=round(result.elapsed_s, 6),
                         **({} if result.ok else {"error": result.error}))
 
-            backend = None
+            # fleet sweeps carry their backend; serial/process keep the
+            # historical ``workers`` resolution inside run_sweep
+            backend = state.fleet_backend
             try:
-                backend = self._build_backend(state)
-                state.live_backend = backend
                 self._emit(state, "started", backend=state.backend,
                            workers=(backend.workers if backend is not None
                                     else state.workers))
@@ -500,7 +497,6 @@ class ExploreManager:
                     state.failed = len(run.failures)
                     state.elapsed_s = run.elapsed_s
                     state.execution = run.execution
-                    state.live_backend = None
                     state.running.clear()
                     state.finished = time.monotonic()
                     if state.cancel.cancelled():
@@ -531,7 +527,6 @@ class ExploreManager:
             except Exception as exc:  # noqa: BLE001 - keep serving
                 with self._lock:
                     state.error = f"{type(exc).__name__}: {exc}"
-                    state.live_backend = None
                     state.running.clear()
                     state.state = "failed"
                     state.finished = time.monotonic()
@@ -540,8 +535,6 @@ class ExploreManager:
                     self._emit_locked(state, "failed", error=state.error)
             finally:
                 _SWEEPS_FINISHED.inc(state=state.state)
-                if backend is not None:
-                    backend.close()
 
     # ------------------------------------------------------------------
     def queue_depth(self) -> dict:

@@ -212,9 +212,9 @@ class SimServer(ThreadingHTTPServer):
         # announce the bound address as the artifact data plane's fetch
         # origin: fleet dispatches then go out as content-keyed
         # references workers resolve via GET /artifact/<key> against us
-        if getattr(self.api, "dataplane_origin", None) is None:
-            self.api.set_dataplane_origin(
-                f"{self.server_address[0]}:{self.port}")
+        if self.api.explore.dataplane_origin is None:
+            self.api.explore.dataplane_origin = \
+                f"{self.server_address[0]}:{self.port}"
 
     @property
     def port(self) -> int:

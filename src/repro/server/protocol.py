@@ -32,8 +32,8 @@ from urllib.parse import parse_qs
 from repro.asm.parser import Assembler
 from repro.compiler.driver import compile_c
 from repro.core.config import CpuConfig
-from repro.errors import (AsmSyntaxError, ConfigError, MemoryAccessError,
-                          ReproError, SourceError)
+from repro.errors import (AsmSyntaxError, ConfigError, FleetError,
+                          MemoryAccessError, ReproError, SourceError)
 from repro.explore.artifacts import ArtifactCache, ArtifactUnavailable
 from repro.explore.pool import CANCELLED_MESSAGE
 from repro.explore.report import MetricError
@@ -43,7 +43,6 @@ from repro.explore.warehouse import (BaselineMissing, ResultWarehouse,
                                      WarehouseError)
 from repro.fleet.cancel import CancelRegistry
 from repro.fleet.registry import WorkerRegistry
-from repro.fleet.scheduler import FleetError, FleetScheduler
 from repro.memory.layout import MemoryLocation, decode_values
 from repro.obs.metrics import default_registry, render_prometheus
 from repro.server.session import SessionManager
@@ -218,30 +217,17 @@ class Api:
         #: the server-owned worker registry behind /fleet/register and
         #: the "fleet" sweep backend
         self.fleet = fleet if fleet is not None else WorkerRegistry()
-        if self.explore.scheduler is None:
-            self.explore.scheduler = FleetScheduler(
-                self.fleet, artifact_store=self.artifacts)
+        self.explore.fleet = self.fleet
+        self.explore.artifacts = self.artifacts
         #: the cross-run result warehouse behind /warehouse/*; attached
         #: to the explore manager so its runner thread ingests every
         #: sweep that finishes done
         self.warehouse = ResultWarehouse()
         if getattr(self.explore, "warehouse", None) is None:
             self.explore.warehouse = self.warehouse
-        #: data-plane origin URL ("host:port") fleet dispatches tell
-        #: workers to fetch artifacts from; the HTTP server sets it to
-        #: its bound address, None keeps dispatches inline
-        self.dataplane_origin: Optional[str] = None
         #: in-flight cancellable jobs (/worker/execute <-> /worker/cancel)
         self.cancels = CancelRegistry()
         self.cancel_stride = cancel_stride
-
-    def set_dataplane_origin(self, origin: str) -> None:
-        """Announce this server's reachable ``host:port`` as the fleet's
-        artifact fetch origin (called by the HTTP layer once bound)."""
-        self.dataplane_origin = origin
-        scheduler = self.explore.scheduler
-        if scheduler is not None and hasattr(scheduler, "origin"):
-            scheduler.origin = origin
 
     def close(self) -> None:
         """Stop the explore manager's workers (tests; server shutdown)."""

@@ -112,8 +112,9 @@ class Simulation:
         #: per-store-buffer-entry versions) of the last snapshot served —
         #: the base the next snapshot_delta() is computed against
         self._view_mark: Optional[Tuple[int, dict, int, dict, dict]] = None
-        #: incremental rendering of the cycle-stamped log
-        self._log_render: Optional[Tuple[list, list]] = None
+        #: incremental rendering of the cycle-stamped log: (the cpu.log
+        #: it renders, its entry dicts, their JSON text)
+        self._log_render: Optional[Tuple[list, list, str]] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -302,23 +303,26 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
-    def _rendered_log(self) -> list:
-        """Cycle-stamped log entries, rendered incrementally.
-
-        The rendered list is extended with new entries while the CPU log is
-        append-only; a restore replaces the log object, which forces a full
-        re-render.  Callers receive a fresh list (entries are shared)."""
+    def _rendered_log(self) -> Tuple[list, str]:
+        """Cycle-stamped log entries and their JSON text, extended with
+        only the new entries while the CPU log is append-only; a restore
+        replaces the log object, which forces a full re-render.  The list
+        is the cache's own: copy it before handing it out."""
         log = self.cpu.log
         cached = self._log_render
-        if cached is not None and cached[0] is log                 and len(cached[1]) <= len(log):
-            rendered = cached[1]
-            for cycle, message in log[len(rendered):]:
-                rendered.append({"cycle": cycle, "message": message})
-        else:
-            rendered = [{"cycle": cycle, "message": message}
-                        for cycle, message in log]
-            self._log_render = (log, rendered)
-        return list(rendered)
+        if cached is None or cached[0] is not log \
+                or len(cached[1]) > len(log):
+            cached = (log, [], "[]")
+        _log, rendered, text = cached
+        if len(rendered) < len(log):
+            new = [{"cycle": cycle, "message": message}
+                   for cycle, message in log[len(rendered):]]
+            encoded = json.dumps(new)
+            # "[a, b]" + "[c]" -> "[a, b, c]" with json.dumps's separator
+            text = f"{text[:-1]}, {encoded[1:]}" if rendered else encoded
+            rendered.extend(new)
+        self._log_render = (log, rendered, text)
+        return rendered, text
 
     def _entry_versions(self) -> dict:
         """Per-instruction state versions of everything in flight (all
@@ -418,7 +422,7 @@ class Simulation:
         base."""
         data = self.cpu.snapshot()
         data["statistics"] = self.stats.panel(expanded=True)
-        data["log"] = self._rendered_log()
+        data["log"] = list(self._rendered_log()[0])
         self._mark_view()
         return data
 
@@ -436,7 +440,7 @@ class Simulation:
             parts.append(f'"{name}": {cpu.section_json(name, version)}')
         parts.append(f'"statistics": '
                      f'{json.dumps(self.stats.panel(expanded=True))}')
-        parts.append(f'"log": {json.dumps(self._rendered_log())}')
+        parts.append(f'"log": {self._rendered_log()[1]}')
         self._mark_view()
         return "{" + ", ".join(parts) + "}"
 

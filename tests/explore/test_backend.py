@@ -153,7 +153,11 @@ class TestRemoteSemantics:
     def test_all_workers_dead_fails_every_job(self):
         backend = RemoteBackend([f"127.0.0.1:{free_port()}"],
                                 fail_threshold=2)
+        started = time.monotonic()
         run = run_sweep(grid_spec(), backend=backend)
+        # a fixed list cannot gain a worker: no grace period is waited
+        # out for a replacement, as a registry membership would
+        assert time.monotonic() - started < 2.0
         assert len(run.failures) == 4
         assert all(r["kind"] == "crash" for r in run.records)
         assert run.execution["remoteWorkers"][0]["excluded"]
@@ -275,6 +279,28 @@ class TestCancellation:
                         on_dispatch=fire_on_dispatch)
         assert time.time() - started < 30.0      # not 4 x 50M cycles
         assert all(r["kind"] == "cancelled" for r in run.records)
+
+    def test_remote_cancel_stops_the_job_on_its_worker(self, worker_urls):
+        """A fixed-list sweep sends a ``cancelId`` with every dispatch:
+        the token fired on the first dispatch reaches the spinning job
+        through ``/worker/cancel``, which stops it within a stride
+        instead of at its timeout."""
+        from repro.fleet.cancel import CancelToken
+        spec = grid_spec("remote-cancel", source=SPIN,
+                         maxCycles=50_000_000)
+        token = CancelToken()
+        backend = RemoteBackend(worker_urls[:1], job_timeout_s=30.0,
+                                inflight_per_worker=1)
+        started = time.monotonic()
+        run = run_sweep(spec, backend=backend, cancel=token,
+                        on_dispatch=lambda _i, _w: token.cancel("test"))
+        elapsed = time.monotonic() - started
+        assert all(r["kind"] == "cancelled" for r in run.records)
+        # the one dispatched job answered "cancelled" from its worker
+        on_worker = [t["kind"] for t in run.timings
+                     if t["worker"] == worker_urls[0]]
+        assert on_worker == ["cancelled"]
+        assert elapsed < 10.0, elapsed
 
     def test_process_cancel_kills_in_flight_workers(self):
         from repro.fleet.cancel import CancelToken

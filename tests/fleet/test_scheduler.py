@@ -1,6 +1,6 @@
-"""FleetBackend / FleetScheduler: registry-driven membership with the
-PR-4 identity pin intact — records byte-identical to serial through
-joins, leaves, and restarts mid-sweep."""
+"""Fleet scheduling: a RemoteBackend whose membership is a live
+WorkerRegistry, with the remote identity pin intact — records
+byte-identical to serial through joins, leaves, and restarts mid-sweep."""
 
 import json
 import socket
@@ -9,9 +9,8 @@ import time
 
 import pytest
 
-from repro.explore import SweepSpec, run_sweep
-from repro.fleet import (CancelToken, FleetBackend, FleetError,
-                         FleetScheduler, WorkerRegistry)
+from repro.explore import RemoteBackend, SweepSpec, run_sweep
+from repro.fleet import CancelToken, FleetError, WorkerRegistry
 from repro.server.httpd import SimServer
 
 SUM_LOOP = """
@@ -88,21 +87,17 @@ class TestFleetBackendBasics:
     def test_empty_registry_raises_fleet_error(self):
         registry = WorkerRegistry()
         with pytest.raises(FleetError, match="no registered fleet workers"):
-            FleetBackend(registry)
-        scheduler = FleetScheduler(registry)
-        assert scheduler.available() == 0
-        with pytest.raises(FleetError):
-            scheduler.build_backend()
+            RemoteBackend(registry)
+        assert len(registry.live_urls()) == 0
 
     def test_fleet_records_byte_identical_to_serial(self, worker_server,
                                                     second_server):
         registry = WorkerRegistry()
         registry.register(url_of(worker_server))
         registry.register(url_of(second_server))
-        scheduler = FleetScheduler(registry)
-        assert scheduler.available() == 2
+        assert len(registry.live_urls()) == 2
         serial = run_sweep(grid_spec(), workers=0)
-        fleet = run_sweep(grid_spec(), backend=scheduler.build_backend())
+        fleet = run_sweep(grid_spec(), backend=RemoteBackend(registry))
         assert record_bytes(fleet) == record_bytes(serial)
         assert fleet.backend == "fleet"
         assert fleet.execution["membership"] == "registry"
@@ -111,10 +106,12 @@ class TestFleetBackendBasics:
     def test_describe_surfaces_registry(self, worker_server):
         registry = WorkerRegistry()
         registry.register(url_of(worker_server), capacity=3)
-        description = FleetScheduler(registry).describe()
+        description = RemoteBackend(registry).describe()
         assert description["backend"] == "fleet"
-        assert description["registry"]["live"] == 1
-        assert description["registry"]["rows"][0]["capacity"] == 3
+        assert description["membership"] == "registry"
+        # the registry rows themselves are /fleet/status's snapshot
+        assert registry.snapshot()["live"] == 1
+        assert registry.snapshot()["rows"][0]["capacity"] == 3
 
 
 class TestMembershipChurn:
@@ -124,8 +121,8 @@ class TestMembershipChurn:
         that registers mid-flight; records stay byte-identical."""
         registry = WorkerRegistry()
         registry.register(url_of(worker_server))
-        backend = FleetBackend(registry, poll_s=0.02,
-                               inflight_per_worker=1)
+        backend = RemoteBackend(registry, poll_s=0.02,
+                                inflight_per_worker=1)
         spec = grid_spec("join", source=MEDIUM_LOOP, points=4)
         serial = run_sweep(spec, workers=0)
         dispatched = []
@@ -153,8 +150,8 @@ class TestMembershipChurn:
         registry.register(url_of(worker_server))
         dead_url = f"127.0.0.1:{free_port()}"
         registry.register(dead_url)
-        backend = FleetBackend(registry, poll_s=0.05,
-                               inflight_per_worker=1, fail_threshold=100)
+        backend = RemoteBackend(registry, poll_s=0.05,
+                                inflight_per_worker=1, fail_threshold=100)
         # keep heartbeating only the live worker while the sweep runs
         stop = threading.Event()
 
@@ -180,6 +177,29 @@ class TestMembershipChurn:
         assert "left the fleet" in rows[dead_url]["excludedReason"] \
             or "transport failures" in rows[dead_url]["excludedReason"]
 
+    def test_run_starts_on_the_members_live_at_run_time(self, worker_server,
+                                                        second_server):
+        """A server builds the backend at submit and may queue the sweep:
+        a worker that left before the run gets no dispatch, and workers
+        that joined meanwhile serve from the first job."""
+        registry = WorkerRegistry()
+        dead_url = f"127.0.0.1:{free_port()}"
+        registry.register(dead_url)
+        backend = RemoteBackend(registry, fail_threshold=1)
+        registry.forget(dead_url)
+        registry.register(url_of(worker_server))
+        registry.register(url_of(second_server))
+        serial = run_sweep(grid_spec("queued"), workers=0)
+        fleet = run_sweep(grid_spec("queued"), backend=backend)
+        assert record_bytes(fleet) == record_bytes(serial)
+        rows = {row["url"]: row
+                for row in fleet.execution["remoteWorkers"]}
+        assert rows[dead_url]["dispatched"] == 0
+        assert rows[dead_url]["excludedReason"] \
+            == "left the fleet (heartbeat expired)"
+        assert rows[url_of(worker_server)]["dispatched"] \
+            + rows[url_of(second_server)]["dispatched"] == 4
+
     def test_restart_mid_sweep_readmits_transport_excluded_worker(self):
         """Regression: a single-worker fleet whose worker crashes
         mid-sweep gets transport-excluded within milliseconds — long
@@ -192,9 +212,9 @@ class TestMembershipChurn:
         port = first.port
         url = f"127.0.0.1:{port}"
         registry.register(url)
-        backend = FleetBackend(registry, poll_s=0.05, fail_threshold=1,
-                               inflight_per_worker=1,
-                               no_worker_grace_s=20.0)
+        backend = RemoteBackend(registry, poll_s=0.05, fail_threshold=1,
+                                inflight_per_worker=1,
+                                no_worker_grace_s=20.0)
         server_alive = threading.Event()
         server_alive.set()
         stop = threading.Event()
@@ -250,7 +270,6 @@ class TestMembershipChurn:
         """Worker restarts between two sweeps (same URL, fresh process):
         both sweeps' records are byte-identical to serial."""
         registry = WorkerRegistry()
-        scheduler = FleetScheduler(registry)
         serial = run_sweep(grid_spec("restart"), workers=0)
 
         first = SimServer(("127.0.0.1", 0))
@@ -259,7 +278,7 @@ class TestMembershipChurn:
         registry.register(f"127.0.0.1:{port}")
         try:
             before = run_sweep(grid_spec("restart"),
-                               backend=scheduler.build_backend())
+                               backend=RemoteBackend(registry))
         finally:
             first.shutdown()
             first.server_close()
@@ -270,7 +289,7 @@ class TestMembershipChurn:
         registry.register(f"127.0.0.1:{port}")      # re-registration
         try:
             after = run_sweep(grid_spec("restart"),
-                              backend=scheduler.build_backend())
+                              backend=RemoteBackend(registry))
         finally:
             second.shutdown()
             second.server_close()
@@ -286,8 +305,8 @@ class TestFleetCancellation:
         /worker/cancel well before its cycle budget."""
         registry = WorkerRegistry()
         registry.register(url_of(worker_server))
-        backend = FleetBackend(registry, poll_s=0.05,
-                               inflight_per_worker=1)
+        backend = RemoteBackend(registry, poll_s=0.05,
+                                inflight_per_worker=1)
         spec = grid_spec("cancel", source="spin:\n    j spin\n",
                          points=4, maxCycles=50_000_000)
         token = CancelToken()
@@ -324,8 +343,8 @@ class TestPeerFetchHints:
         return registry
 
     def test_advertised_keys_index_by_compile_key(self):
-        backend = FleetBackend(self.registry_with_advertisers(),
-                               artifact_origin="127.0.0.1:7000")
+        backend = RemoteBackend(self.registry_with_advertisers(),
+                                artifact_origin="127.0.0.1:7000")
         peers = backend._advertised_keys()
         assert set(peers["k1"]) == {"127.0.0.1:7101", "127.0.0.1:7102",
                                     "127.0.0.1:7103"}
@@ -333,26 +352,47 @@ class TestPeerFetchHints:
         # the stats-only worker (old heartbeat shape) is simply absent
 
     def test_fetch_from_is_origin_then_at_most_two_peers(self):
-        backend = FleetBackend(self.registry_with_advertisers(),
-                               artifact_origin="127.0.0.1:7000")
-        backend._peer_sources = backend._advertised_keys()
-        urls = backend._fetch_from_for({"sourceKey": "s",
-                                        "compileKey": "k1"})
+        class KeyedStore:
+            """Registers every program under the test's fixed keys."""
+            ref = {}
+
+            def register_program(self, spec, level):
+                return self.ref
+
+        store = KeyedStore()
+        backend = RemoteBackend(self.registry_with_advertisers(),
+                                artifact_store=store,
+                                artifact_origin="127.0.0.1:7000")
+        payload = {"program": {"name": "p", "source": "ebreak"}}
+
+        def fetch_from(ref):
+            store.ref = ref
+            wire, _refs = backend._prepare_dataplane([payload])
+            return wire[0]["program"]["artifactRef"]["fetchFrom"]
+
+        urls = fetch_from({"sourceKey": "s", "compileKey": "k1"})
         assert urls[0] == "127.0.0.1:7000"      # origin always first
         assert len(urls) == 3                   # capped at two peer hints
         assert set(urls[1:]) < {"127.0.0.1:7101", "127.0.0.1:7102",
                                 "127.0.0.1:7103"}
         # a key nobody advertises falls back to the origin alone
-        assert backend._fetch_from_for({"sourceKey": "s"}) \
-            == ["127.0.0.1:7000"]
+        assert fetch_from({"sourceKey": "s"}) == ["127.0.0.1:7000"]
 
     def test_scheduler_threads_store_and_origin_into_backends(self):
         from repro.explore.artifacts import ArtifactCache
+        from repro.explore.service import ExploreManager
         registry = WorkerRegistry()
-        registry.register("127.0.0.1:7105")
+        registry.register(f"127.0.0.1:{free_port()}")
         store = ArtifactCache()
-        scheduler = FleetScheduler(registry, artifact_store=store)
-        scheduler.origin = "127.0.0.1:7000"
-        backend = scheduler.build_backend()
+        manager = ExploreManager()
+        manager.fleet = registry
+        manager.artifacts = store
+        manager.dataplane_origin = "127.0.0.1:7000"
+        spec = {"name": "store-origin",
+                "programs": [{"name": "prog", "source": SUM_LOOP}]}
+        state = manager.submit(spec, backend="fleet")
+        manager.cancel(state.id)
+        manager.close()
+        backend = state.fleet_backend
         assert backend.artifact_store is store
         assert backend.artifact_origin == "127.0.0.1:7000"

@@ -55,6 +55,27 @@ loop:
 """
 
 
+#: a data-dependent branch on an LCG bit: ~200 mispredictions, each one
+#: a log entry, over ~4k cycles
+BRANCHY = """
+    li t0, 0
+    li t1, 400
+    li t3, 12345
+loop:
+    li t4, 1103515245
+    mul t3, t3, t4
+    addi t3, t3, 1234
+    srli t2, t3, 16
+    andi t2, t2, 1
+    beqz t2, skip
+    addi a0, a0, 1
+skip:
+    addi t0, t0, 1
+    blt t0, t1, loop
+    ebreak
+"""
+
+
 class TestCheckpointRing:
     def test_due_every_interval_once(self):
         ring = CheckpointRing(interval=10, capacity=4)
@@ -357,6 +378,31 @@ class TestSnapshotDelta:
             assert sim.snapshot_json() == json.dumps(oracle.snapshot())
         assert any('"__entryDelta": true' in delta for delta in deltas)
         assert any('"format": "full"' in delta for delta in deltas)
+
+    def test_log_text_grows_to_the_bytes_of_the_cold_log(self):
+        """Each full serve encodes only the log entries added since the
+        last one; the spliced text stays ``json.dumps`` of the cold log
+        through a long run, and after a step back (a restore replaces
+        the log, which re-renders it)."""
+        sim = Simulation.from_source(BRANCHY, checkpoint_interval=64)
+        oracle = Simulation.from_source(BRANCHY)
+
+        def assert_log_bytes():
+            cold = json.dumps(oracle.snapshot_cold()["log"])
+            assert sim.snapshot_json().endswith(f'"log": {cold}}}')
+
+        assert_log_bytes()
+        while not sim.halted:
+            sim.step(97)
+            oracle.step(97)
+            assert_log_bytes()
+        assert len(sim.cpu.log) > 150
+        for each in (sim, oracle):
+            each.step_back(1500)
+        assert_log_bytes()
+        for each in (sim, oracle):
+            each.step(300)
+        assert_log_bytes()
 
     def test_encoded_full_snapshot_is_value_identical(self):
         a = Simulation.from_source(MEM_LOOP)
