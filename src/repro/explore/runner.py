@@ -29,8 +29,8 @@ from repro.explore.artifacts import ArtifactCache, default_cache
 from repro.sim.energy import estimate_area, estimate_energy
 from repro.sim.simulation import CANCELLED_HALT_REASON, Simulation
 
-__all__ = ["execute_payload", "build_simulation", "JobError",
-           "JobCancelled"]
+__all__ = ["execute_payload", "build_simulation", "program_assembly",
+           "JobError", "JobCancelled"]
 
 
 class JobError(ReproError):
@@ -60,6 +60,23 @@ class _NullTracer:
 _NULL_TRACER = _NullTracer()
 
 
+def program_assembly(payload: dict, cache: ArtifactCache) -> str:
+    """The job's program as assembly: its ``source``, or its ``c``
+    compiled through *cache* at the job's level (the payload's
+    ``optimizeLevel`` axis override, else the program's)."""
+    program_spec = payload.get("program") or {}
+    source: Optional[str] = program_spec.get("source")
+    if source is not None:
+        return source
+    c_source = program_spec.get("c")
+    if c_source is None:
+        raise JobError(f"program '{program_spec.get('name', '?')}' "
+                       f"carries neither assembly nor C source")
+    level = int(payload.get("optimizeLevel",
+                            program_spec.get("optimizeLevel", 1)))
+    return cache.compiled_assembly(c_source, level)
+
+
 def build_simulation(payload: dict,
                      cache: Optional[ArtifactCache] = None) -> Simulation:
     """Per-job setup: payload -> ready-to-run :class:`Simulation`.
@@ -71,26 +88,7 @@ def build_simulation(payload: dict,
     if cache is None:
         cache = default_cache()
     program_spec = payload.get("program") or {}
-    fetch_from = None
-    ref = program_spec.get("artifactRef")
-    if isinstance(ref, dict):
-        # data-plane dispatch (protocol v8): the payload carries a
-        # content-keyed reference instead of the inline program; resolve
-        # the original spec first (local registry, then remote fetch).
-        # Raises ArtifactUnavailable — never a JobError — so the
-        # dispatcher re-sends the job inline instead of failing it.
-        program_spec = cache.resolve_source(ref)
-        fetch_from = list(ref.get("fetchFrom") or ())
-    source: Optional[str] = program_spec.get("source")
-    if source is None:
-        c_source = program_spec.get("c")
-        if c_source is None:
-            raise JobError(f"program '{program_spec.get('name', '?')}' "
-                           f"carries neither assembly nor C source")
-        level = int(payload.get("optimizeLevel",
-                                program_spec.get("optimizeLevel", 1)))
-        source = cache.compiled_assembly(c_source, level,
-                                         fetch_from=fetch_from)
+    source = program_assembly(payload, cache)
     config = CpuConfig.from_json(payload["config"])
     if payload.get("maxCycles") is not None:
         config.max_cycles = int(payload["maxCycles"])

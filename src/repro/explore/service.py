@@ -194,9 +194,10 @@ class ExploreManager:
     """Bounded queue + registry of design-space sweeps.
 
     The server's :class:`repro.server.protocol.Api` attaches its worker
-    registry (``fleet``) and artifact store (``artifacts``), and the HTTP
-    layer sets ``dataplane_origin`` once bound; a ``"backend": "fleet"``
-    sweep runs on a :class:`RemoteBackend` built from these three.
+    registry (``fleet``) and artifact store (``artifacts``); a
+    ``"backend": "fleet"`` sweep runs on a :class:`RemoteBackend` over
+    that registry, which compiles each C program once through that store
+    and ships the assembly to the workers.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -220,12 +221,10 @@ class ExploreManager:
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "forkserver" if "forkserver" in methods \
             else "spawn"
-        #: fleet sweeps: the worker registry, the artifact store
-        #: dispatches reference, and the ``host:port`` workers fetch
-        #: artifacts from (None keeps dispatches inline)
+        #: fleet sweeps: the worker registry, and the artifact store
+        #: their dispatcher compiles through (None: the process default)
         self.fleet = None
         self.artifacts = None
-        self.dataplane_origin: Optional[str] = None
         #: attached cross-run result warehouse
         #: (:class:`repro.explore.warehouse.ResultWarehouse`); when set,
         #: the runner thread ingests every sweep that finishes ``done``
@@ -284,8 +283,7 @@ class ExploreManager:
                 raise FleetError("this server has no worker registry")
             fleet_backend = RemoteBackend(
                 self.fleet, job_timeout_s=job_timeout_s,
-                artifact_store=self.artifacts,
-                artifact_origin=self.dataplane_origin)
+                artifact_store=self.artifacts)
         spec = SweepSpec.from_json(spec_data)
         planned = spec.samples if spec.sampling == "random" \
             else spec.grid_size()

@@ -1,12 +1,11 @@
 """Cross-run result warehouse: queries, Pareto frontiers, regression sentinel.
 
-PR 9 closed the artifact half of the ROADMAP's fleet data plane; this
-module closes the result half.  Sweep records are write-once JSONL per
-run (:mod:`repro.explore.store`), which answers "how did *this* sweep
-go" but not the longitudinal questions a design-space harness lives on:
-how does today's frontier compare with last week's, which config
-regressed between two sweeps, what does the whole cycles-vs-energy
-trade-off look like across every run ever made.
+Sweep records are write-once JSONL per run (:mod:`repro.explore.store`),
+which answers "how did *this* sweep go" but not the longitudinal
+questions a design-space harness lives on: how does today's frontier
+compare with last week's, which config regressed between two sweeps,
+what does the whole cycles-vs-energy trade-off look like across every
+run ever made.
 
 :class:`ResultWarehouse` is an indexed, append-only store over finished
 sweeps' records:

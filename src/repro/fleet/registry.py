@@ -18,9 +18,11 @@ so membership is exactly "who has heartbeated recently":
   disconnect), with a human-readable reason surfaced on every health
   row.
 
-Heartbeat payloads carry the worker's capacity and artifact-cache stats,
-so one ``/health`` poll of the frontend shows the whole fleet's cache
-behavior without fanning out a request per worker.
+Heartbeat payloads carry the worker's capacity and artifact-cache stats
+(:meth:`repro.explore.artifacts.ArtifactCache.stats`), so one ``/health``
+poll of the frontend shows the whole fleet's cache behavior without
+fanning out a request per worker.  A fleet sweep's frontend ships its
+workers assembly, so their rows count assemble lookups and no compiles.
 
 :class:`Heartbeater` is the worker-side client half: a daemon thread
 that registers with a frontend and keeps heartbeating at the interval

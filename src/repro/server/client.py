@@ -288,22 +288,6 @@ class SimClient:
         """Worker health: artifact-cache stats + active-job gauge."""
         return self.request("GET", "/worker/status")
 
-    # -- artifact data plane (protocol v8) -------------------------------
-    def artifact(self, key: str) -> dict:
-        """Fetch one content-addressed artifact by its SHA-256 key
-        (``GET /artifact/<key>``): compiled assembly, a registered
-        program spec, or a compile-on-demand recipe result.  Raises
-        :class:`ApiError` 404 for keys the server does not know."""
-        return self.request("GET", "/artifact" + f"/{key}")
-
-    def artifact_prefetch(self, artifacts: list) -> dict:
-        """Announce artifact references for background warm-up on a
-        worker (``POST /artifact/prefetch``); *artifacts* is a list of
-        ``{sourceKey, compileKey?, fetchFrom}`` references as produced
-        by :meth:`repro.explore.artifacts.ArtifactCache.register_program`."""
-        return self.request("POST", "/artifact/prefetch",
-                            {"artifacts": artifacts})
-
     # -- result warehouse (protocol v9) ----------------------------------
     def warehouse_query(self, sweep: Optional[str] = None,
                         program: Optional[str] = None,

@@ -209,12 +209,6 @@ class SimServer(ThreadingHTTPServer):
         self.enable_gzip = enable_gzip
         self.overhead_ms = overhead_ms
         self.verbose = verbose
-        # announce the bound address as the artifact data plane's fetch
-        # origin: fleet dispatches then go out as content-keyed
-        # references workers resolve via GET /artifact/<key> against us
-        if self.api.explore.dataplane_origin is None:
-            self.api.explore.dataplane_origin = \
-                f"{self.server_address[0]}:{self.port}"
 
     @property
     def port(self) -> int:
@@ -275,9 +269,7 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
             register_with, advertise or f"{host}:{server.port}",
             capacity=capacity if capacity is not None else 1,
             interval_s=heartbeat_s,
-            # heartbeat_stats (not stats): carries the compiled-key set
-            # so the frontend can hint this worker as a peer fetch source
-            cache_stats_fn=api.artifacts.heartbeat_stats)
+            cache_stats_fn=api.artifacts.stats)
         heartbeater.start()
     print(f"repro {role} listening on http://{host}:{server.port}"
           f" (gzip={'on' if enable_gzip else 'off'},"

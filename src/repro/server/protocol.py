@@ -34,7 +34,7 @@ from repro.compiler.driver import compile_c
 from repro.core.config import CpuConfig
 from repro.errors import (AsmSyntaxError, ConfigError, FleetError,
                           MemoryAccessError, ReproError, SourceError)
-from repro.explore.artifacts import ArtifactCache, ArtifactUnavailable
+from repro.explore.artifacts import ArtifactCache
 from repro.explore.pool import CANCELLED_MESSAGE
 from repro.explore.report import MetricError
 from repro.explore.service import ExploreManager
@@ -75,16 +75,10 @@ from repro.sim.state import SNAPSHOT_SCHEMA_VERSION, RawJson
 #: record), trace-context propagation through ``/explore/submit`` job
 #: payloads and ``/worker/execute`` (whose replies gain ``spans``), the
 #: ``"trace"`` opt-out on submit, and ``lastHeartbeatAgeS`` on fleet
-#: health rows.  v8 adds the fleet artifact data plane:
-#: ``GET /artifact/<key>`` serves content-addressed compile/assembly
-#: artifacts out of the server's cache, ``POST /artifact/prefetch``
-#: warm-pushes a sweep's key-set to a worker at first dispatch,
-#: ``/worker/execute`` payloads may carry an ``artifactRef``
-#: (``{sourceKey, compileKey?, fetchFrom}``) instead of the inline
-#: program — unresolvable references answer ``kind:
-#: "artifactUnavailable"`` and the dispatcher re-sends the job inline —
-#: and heartbeat cache stats gain the advertised compiled-key set used
-#: for peer-worker fetch hints.  v9 adds the cross-run result warehouse:
+#: health rows.  v8 added a fleet artifact data plane (two routes that
+#: served and warm-pushed content-addressed artifacts, job programs sent
+#: by reference, a degrade-to-inline reply kind and peer fetch hints on
+#: heartbeats; all removed in v10).  v9 adds the cross-run result warehouse:
 #: every sweep that finishes ``done`` is ingested into an indexed,
 #: append-only store; ``GET /warehouse/query`` filters rows by
 #: sweep/program/axis value/ingest time and serves shared nearest-rank
@@ -94,8 +88,13 @@ from repro.sim.state import SNAPSHOT_SCHEMA_VERSION, RawJson
 #: matching configs (by record label) against it, flagging metric
 #: deltas beyond a tolerance (409 until a baseline is pinned).  The
 #: warehouse GETs accept their filters as query strings; POST bodies
-#: work identically.  v1-v8 clients keep working.
-PROTOCOL_VERSION = 9
+#: work identically.  v10 removes the v8 data plane: a dispatching
+#: backend compiles each C program once and sends the assembly inline,
+#: so ``artifactCache`` stats (heartbeat ``cache`` rows too) lose their
+#: ``fetch`` and ``keys`` entries.  Every other route is unchanged, except
+#: that a wrongly typed ``sessionId``, ``sweepId``, ``entry`` or ``dtype``
+#: gets a 400.
+PROTOCOL_VERSION = 10
 
 #: upper bound for one step request; larger forward runs should be issued
 #: as repeated (batched) step requests so sessions stay responsive and a
@@ -145,6 +144,25 @@ def _source(payload: dict, what: str) -> str:
         raise ApiError(f"'code' is {len(code)} characters, more than the "
                        f"{MAX_SOURCE_CHARS} a request may carry")
     return code
+
+
+def _string(payload: dict, key: str) -> Optional[str]:
+    """The request's *key* field when it is a string, ``None`` when it is
+    absent; any other type is the client's bad request."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ApiError(f"'{key}' must be a string, "
+                       f"got {type(value).__name__}")
+    return value
+
+
+def _entry(payload: dict) -> Optional[object]:
+    """The request's ``entry``: a label, an address or ``None``."""
+    entry = payload.get("entry")
+    if entry is not None and not isinstance(entry, (str, int)):
+        raise ApiError(f"'entry' must be a label or an address, "
+                       f"got {type(entry).__name__}")
+    return entry
 
 
 def _parse_memory_locations(payload: dict) -> List[MemoryLocation]:
@@ -309,7 +327,7 @@ class Api:
         from repro.sim.simulation import Simulation
         try:
             simulation = Simulation.from_source(
-                code, config=config, entry=payload.get("entry"),
+                code, config=config, entry=_entry(payload),
                 memory_locations=_parse_memory_locations(payload))
             result = simulation.run(max_cycles)
         except SourceError as exc:
@@ -327,7 +345,7 @@ class Api:
         try:
             session = self.sessions.create(
                 code, config=_parse_config(payload),
-                entry=payload.get("entry"),
+                entry=_entry(payload),
                 memory_locations=_parse_memory_locations(payload))
         except SourceError as exc:
             return {"success": False, "errors": [exc.to_json()]}
@@ -336,7 +354,7 @@ class Api:
         return {"success": True, "sessionId": session.id}
 
     def _session(self, payload: dict):
-        session_id = payload.get("sessionId")
+        session_id = _string(payload, "sessionId")
         session = self.sessions.get(session_id) if session_id else None
         if session is None:
             raise ApiError(f"unknown session '{session_id}'", status=404)
@@ -431,7 +449,7 @@ class Api:
         with session.lock:
             simulation = session.simulation
             memory = simulation.cpu.memory
-            dtype = payload.get("dtype")
+            dtype = _string(payload, "dtype")
             symbol = payload.get("symbol")
             if symbol is not None:
                 found = simulation.program.find_symbol(str(symbol))
@@ -471,7 +489,7 @@ class Api:
             return out
 
     def session_close(self, payload: dict) -> dict:
-        session_id = payload.get("sessionId", "")
+        session_id = _string(payload, "sessionId") or ""
         return {"success": self.sessions.close(session_id)}
 
     # -- design-space sweeps (repro.explore) ----------------------------
@@ -520,7 +538,7 @@ class Api:
                 "workers": state.workers, "backend": state.backend}
 
     def _sweep(self, payload: dict):
-        sweep_id = payload.get("sweepId")
+        sweep_id = _string(payload, "sweepId")
         state = self.explore.get(sweep_id) if sweep_id else None
         if state is None:
             raise ApiError(f"unknown sweep '{sweep_id}'", status=404)
@@ -775,13 +793,11 @@ class Api:
         ========================  =========================================
         field                     meaning
         ========================  =========================================
-        ``program``               inline program spec (``source`` assembly
-                                  or ``c`` + ``optimizeLevel``, plus
-                                  ``entry``/``memory``) — **or**, since
-                                  protocol v8, ``{"name", "artifactRef":
-                                  {sourceKey, compileKey?, optimizeLevel?,
-                                  fetchFrom}}`` referencing artifacts by
-                                  content key instead of carrying source
+        ``program``               program spec: ``source`` assembly or
+                                  ``c`` + ``optimizeLevel``, plus
+                                  ``entry``/``memory`` (a RemoteBackend
+                                  always sends ``source``: its dispatcher
+                                  compiled the C once)
         ``config``                resolved architecture JSON
         ``collect``               ``"full"`` embeds the statistics page
         ``maxCycles``             per-job cycle budget override
@@ -794,16 +810,11 @@ class Api:
         :class:`repro.explore.pool.JobResult` — ``ok`` with the
         deterministic record ``value``, or ``ok: false`` with the same
         ``TypeName: message`` error string every other backend produces,
-        so failure records stay byte-identical across backends.  An
-        ``artifactRef`` this worker cannot resolve (fetch failed, no
-        local tier has it) answers ``kind: "artifactUnavailable"``
-        instead of an error — the dispatcher re-sends the job with the
-        program inline, so data-plane failures never fail a job.  Jobs
+        so failure records stay byte-identical across backends.  Jobs
         run on the connection thread (the dispatching backend bounds its
         in-flight window client-side); per-job setup hits this server's
-        in-memory artifact cache, so repeated-program grids compile and
-        assemble each program once per worker — and with the data plane,
-        once per *fleet* (cold workers fetch by hash before compiling).
+        in-memory artifact cache, so repeated-program grids assemble
+        (and, sent ``c``, compile) each program once per worker.
 
         A body with a ``cancelId`` makes the job cooperatively
         cancellable: the id is registered while the job runs, and a
@@ -843,12 +854,6 @@ class Api:
             out["ok"] = False
             out["kind"] = kind = "cancelled"
             out["error"] = CANCELLED_MESSAGE
-        except ArtifactUnavailable as exc:
-            # data-plane degradation, not a job failure: the dispatcher
-            # re-sends the job with the program inline (never recorded)
-            out["ok"] = False
-            out["kind"] = kind = "artifactUnavailable"
-            out["error"] = str(exc)
         except Exception as exc:  # noqa: BLE001 - job isolation, as the
             # serial loop / pool worker: report, never die
             out["ok"] = False
@@ -882,40 +887,6 @@ class Api:
             cancel_id, reason=str(payload.get("reason", "cancelled")))
         return {"success": True, "protocolVersion": PROTOCOL_VERSION,
                 "cancelled": hit}
-
-    # -- artifact data plane (protocol v8) -------------------------------
-    def artifact(self, payload: dict) -> dict:
-        """``GET /artifact/<key>``: serve one content-addressed artifact.
-
-        Answers out of this server's :class:`ArtifactCache` — compiled
-        assembly from the memory/disk tiers, program specs and compile
-        recipes registered at dispatch time (a recipe key compiles on
-        demand, single-flighted).  404 for keys no tier knows; workers
-        negative-cache that answer, so a missing key costs each worker
-        one fetch round, not one per job."""
-        key = payload["key"]
-        artifact = self.artifacts.serve_artifact(key)
-        if artifact is None:
-            raise ApiError(f"unknown artifact '{key}'", status=404)
-        return {"success": True, "protocolVersion": PROTOCOL_VERSION,
-                "key": key, "artifact": artifact}
-
-    def artifact_prefetch(self, payload: dict) -> dict:
-        """``POST /artifact/prefetch``: warm-push a sweep's key-set.
-
-        The dispatching backend announces every artifact reference of a
-        sweep at first dispatch; this worker starts fetching them in the
-        background so the transfers overlap the first jobs' simulation
-        time.  Best-effort by design — the reply's ``accepted`` count is
-        informational, and ``0`` (e.g. ``REPRO_ARTIFACT_FETCH=0``) just
-        means jobs fall back to fetch-on-miss or local compile."""
-        refs = payload.get("artifacts")
-        if not isinstance(refs, list):
-            raise ApiError("'artifacts' (list of artifact references) "
-                           "is required")
-        accepted = self.artifacts.prefetch(refs)
-        return {"success": True, "protocolVersion": PROTOCOL_VERSION,
-                "accepted": accepted}
 
     # -- telemetry plane (protocol v7) ----------------------------------
     def _set_gauges(self) -> None:
@@ -1026,7 +997,7 @@ ROUTES = (
                 "cycles": "non-zero int (negative = backward), "
                           f"|cycles| <= {MAX_STEP_CYCLES}",
                 "delta": "bool | 'encoded'? (serve a delta against the "
-                         "last view; 'encoded' = pre-serialized)"}),
+                         "last view)"}),
     Route("POST", "/session/state", Api.session_state,
           body={"sessionId": "id"}),
     Route("POST", "/session/seek", Api.session_seek,
@@ -1069,19 +1040,9 @@ ROUTES = (
     Route(("GET", "POST"), "/fleet/status", Api.fleet_status),
     Route("POST", "/worker/execute", Api.worker_execute,
           body={"payload": "one planned sweep-job payload "
-                           "(see repro.explore.plan); its 'program' "
-                           "may be an artifactRef instead of inline "
-                           "source",
+                           "(see repro.explore.plan)",
                 "cancelId": "string? cooperative-cancel handle "
                             "(fire it via /worker/cancel)"}),
-    Route("GET", "/artifact", Api.artifact, param="key",
-          notes="content-addressed artifact fetch (data plane): "
-                "compiled assembly, registered program specs, and "
-                "compile recipes served by SHA-256 key; 404 for "
-                "unknown keys (SimClient.artifact)"),
-    Route("POST", "/artifact/prefetch", Api.artifact_prefetch,
-          body={"artifacts": "[{sourceKey, compileKey?, fetchFrom}] "
-                             "references to warm in the background"}),
     Route("POST", "/worker/cancel", Api.worker_cancel,
           body={"cancelId": "id from the matching /worker/execute",
                 "reason": "string?"}),

@@ -1,34 +1,18 @@
-"""Artifact data plane (protocol v8): dispatch-time references, the
-fetch-by-hash tier, single-flight miss storms, disk-GC races, and the
-degrade-to-inline guarantee that fetch failures never fail a job."""
+"""One way a sweep worker gets its program: the dispatching backend
+compiles each C program once, through its artifact cache, and ships the
+assembly.  Also the cache's single-flight miss storms and disk-GC races."""
 
 import json
-import socket
 import threading
 import types
 
-import pytest
-
-from repro.explore.artifacts import (ARTIFACT_FETCH_ENV, ArtifactCache,
-                                     ArtifactUnavailable,
-                                     RemoteArtifactSource, _digest,
-                                     fetch_enabled)
-from repro.explore.backend import RemoteBackend
+from repro.explore.artifacts import ArtifactCache
+from repro.explore.backend import RemoteBackend, SerialBackend
 from repro.explore.plan import plan_jobs
 from repro.explore.runner import execute_payload
 from repro.explore.spec import SweepSpec
+from repro.server.client import SimClient
 from repro.server.httpd import SimServer
-
-SUM_LOOP = """
-    li a0, 0
-    li t0, 1
-    li t1, 25
-loop:
-    add a0, a0, t0
-    addi t0, t0, 1
-    ble t0, t1, loop
-    ebreak
-"""
 
 C_KERNEL = ("int main(void) { int s = 0; "
             "for (int i = 1; i <= 9; i++) s += i; return s; }")
@@ -36,19 +20,21 @@ C_KERNEL = ("int main(void) { int s = 0; "
 BAD_C = "int main(void) { return undefined_symbol; }"
 
 
-def c_grid_spec(points=3):
+def c_grid_spec(programs=None, points=3):
     return SweepSpec.from_json({
         "name": "dataplane-grid",
-        "programs": [{"name": "sum", "c": C_KERNEL, "entry": "main"}],
+        "programs": programs or [
+            {"name": "sum", "c": C_KERNEL, "entry": "main",
+             "memory": [{"name": "data", "dtype": "word",
+                         "values": [1, 2, 3]}]}],
         "axes": [{"name": "width", "path": "config.buffers.fetchWidth",
                   "values": [1, 2, 4][:points]}],
     })
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def record_bytes(results):
+    return [(r.kind, r.error, json.dumps(r.value, sort_keys=True))
+            for r in results]
 
 
 def counting_compile(monkeypatch):
@@ -71,9 +57,8 @@ class TestSingleFlight:
     def test_miss_storm_compiles_exactly_once(self, monkeypatch):
         """N threads racing one cold key must cost one compile: the
         first caller builds, the rest wait on the flight and take the
-        memory tier (satellite of the fetch-by-hash plane — without
-        this, a prefetch announcement fanning into worker threads
-        would stampede the compiler)."""
+        memory tier (a remote sweep's serve threads all ask the
+        dispatcher's cache for the same program at once)."""
         calls = counting_compile(monkeypatch)
         cache = ArtifactCache()
         results = [None] * 8
@@ -167,197 +152,71 @@ class TestDiskGcRace:
         assert mismatches == []
 
 
-class TestRemoteArtifactSource:
-    def test_unreachable_source_is_error_not_negative_cached(self):
-        source = RemoteArtifactSource(timeout_s=0.2)
-        dead = [f"127.0.0.1:{free_port()}"]
-        assert source.fetch("k" * 64, dead) is None
-        assert source.fetch("k" * 64, dead) is None
-        stats = source.stats()
-        # both attempts dialled: transport errors must not poison the
-        # key — the artifact may exist, the source was just unreachable
-        assert stats["errors"] == 2
-        assert stats["negativeHits"] == 0
-
-    def test_clean_404_is_negative_cached_until_forgotten(self):
-        server = SimServer(("127.0.0.1", 0))
-        server.start_background()
-        try:
-            origin = [f"127.0.0.1:{server.port}"]
-            source = RemoteArtifactSource(timeout_s=2.0)
-            key = "a" * 64
-            assert source.fetch(key, origin) is None
-            assert source.fetch(key, origin) is None   # served negatively
-            stats = source.stats()
-            assert stats["misses"] == 1
-            assert stats["negativeHits"] == 1
-            source.forget_negative([key])
-            assert source.fetch(key, origin) is None   # dials again
-            assert source.stats()["misses"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_malformed_source_url_is_a_transport_error(self):
-        source = RemoteArtifactSource()
-        assert source.fetch("b" * 64, ["not-a-host-port"]) is None
-        assert source.stats()["errors"] == 1
-
-
-class TestDataPlaneRegistry:
-    def test_register_and_serve_source_spec(self):
-        cache = ArtifactCache()
-        spec = {"name": "sum", "source": SUM_LOOP}
-        ref = cache.register_program(spec, 1)
-        assert "compileKey" not in ref          # nothing to compile
-        served = cache.serve_artifact(ref["sourceKey"])
-        assert served == {"kind": "source", "program": spec}
-
-    def test_c_recipe_compiles_on_demand(self):
-        cache = ArtifactCache()
-        ref = cache.register_program({"name": "sum", "c": C_KERNEL}, 1)
-        assert ref["compileKey"] == _digest("compile", C_KERNEL, 1)
-        assert ref["optimizeLevel"] == 1
-        served = cache.serve_artifact(ref["compileKey"])
-        assert served["kind"] == "assembly"
-        # and byte-identical to a direct compile through the cache
-        assert served["assembly"] == cache.compiled_assembly(C_KERNEL, 1)
-        assert cache.stats()["compile"]["misses"] == 1
-
-    def test_unknown_key_serves_none(self):
-        assert ArtifactCache().serve_artifact("f" * 64) is None
-
-    def test_failing_recipe_served_as_compile_error_artifact(self):
-        cache = ArtifactCache()
-        ref = cache.register_program({"name": "bad", "c": BAD_C}, 1)
-        served = cache.serve_artifact(ref["compileKey"])
-        assert served["kind"] == "compileError"
-        assert served["error"].startswith("C compilation failed")
-
-    def test_resolve_source_local_then_unavailable(self):
-        frontend = ArtifactCache()
-        spec = {"name": "sum", "c": C_KERNEL}
-        ref = frontend.register_program(spec, 1)
-        assert frontend.resolve_source(ref) == spec
-        cold = ArtifactCache()
-        with pytest.raises(ArtifactUnavailable, match="not available"):
-            cold.resolve_source({"sourceKey": ref["sourceKey"],
-                                 "fetchFrom": []})
-        with pytest.raises(ArtifactUnavailable, match="no sourceKey"):
-            cold.resolve_source({})
-
-    def test_heartbeat_stats_advertises_compiled_keys(self):
-        cache = ArtifactCache()
-        cache.compiled_assembly(C_KERNEL, 1)
-        data = cache.heartbeat_stats()
-        assert data["keys"]["compiled"] == [_digest("compile", C_KERNEL, 1)]
-        assert data["compile"]["misses"] == 1    # plain stats ride along
-
-    def test_kill_switch_disables_every_fetch_path(self, monkeypatch):
-        monkeypatch.setenv(ARTIFACT_FETCH_ENV, "0")
-        assert not fetch_enabled()
-        cache = ArtifactCache()
-        ref = {"sourceKey": "c" * 64,
-               "fetchFrom": [f"127.0.0.1:{free_port()}"]}
-        assert cache.prefetch([ref]) == 0
-        with pytest.raises(ArtifactUnavailable):
-            cache.resolve_source(ref)
-        # no fetch was attempted: the switch cuts before the dial
-        assert cache.remote.stats() == {"hits": 0, "misses": 0,
-                                        "errors": 0, "negativeHits": 0}
-        monkeypatch.setenv(ARTIFACT_FETCH_ENV, "1")
-        assert fetch_enabled()
-
-
-class TestWireDispatch:
-    def origin(self):
-        return "127.0.0.1:9"
-
-    def test_prepare_rewrites_programs_to_references(self):
+class TestDispatchCompile:
+    def test_c_program_ships_as_assembly(self):
         store = ArtifactCache()
-        backend = RemoteBackend(["127.0.0.1:1"], artifact_store=store,
-                                artifact_origin=self.origin())
-        payloads = [job.payload for job in plan_jobs(c_grid_spec())]
-        wire, refs = backend._prepare_dataplane(payloads)
-        assert len(wire) == len(payloads)
-        for original, rewritten in zip(payloads, wire):
-            program = rewritten["program"]
-            assert program["name"] == "sum"
-            ref = program["artifactRef"]
-            assert ref["fetchFrom"] == [self.origin()]
-            assert "c" not in program          # source left off the wire
-            assert original["program"]["c"] == C_KERNEL   # input untouched
-        # one shared program -> one deduplicated prefetch reference
-        assert len(refs) == 1
-        assert refs[0]["compileKey"]
+        backend = RemoteBackend(["127.0.0.1:1"], artifact_store=store)
+        payload = plan_jobs(c_grid_spec())[0].payload
+        original = json.dumps(payload, sort_keys=True)
+        shipped = backend._shipped(payload)
+        program = shipped["program"]
+        assert program["source"] == store.compiled_assembly(C_KERNEL, 1)
+        assert "c" not in program and "optimizeLevel" not in program
+        for key in ("name", "entry", "memory"):
+            assert program[key] == payload["program"][key]
+        assert json.dumps(payload, sort_keys=True) == original
+        # assembly programs go out as they are
+        assert backend._shipped(shipped) is shipped
 
-    def test_prepare_is_passthrough_without_store_or_with_kill_switch(
-            self, monkeypatch):
-        payloads = [job.payload for job in plan_jobs(c_grid_spec())]
-        plain = RemoteBackend(["127.0.0.1:1"])
-        assert plain._prepare_dataplane(payloads) == (payloads, [])
-        monkeypatch.setenv(ARTIFACT_FETCH_ENV, "off")
-        armed = RemoteBackend(["127.0.0.1:1"],
-                              artifact_store=ArtifactCache(),
-                              artifact_origin=self.origin())
-        assert armed._prepare_dataplane(payloads) == (payloads, [])
-
-    def test_runner_resolves_reference_to_identical_record(self):
-        """A worker holding the registered spec executes the reference
-        payload to the exact bytes the inline payload produces."""
-        store = ArtifactCache()
-        backend = RemoteBackend(["127.0.0.1:1"], artifact_store=store,
-                                artifact_origin=self.origin())
-        payloads = [job.payload for job in plan_jobs(c_grid_spec())]
-        wire, _refs = backend._prepare_dataplane(payloads)
-        for original, rewritten in zip(payloads, wire):
-            inline = execute_payload(original, cache=ArtifactCache())
-            via_ref = execute_payload(rewritten, cache=store)
-            assert json.dumps(via_ref, sort_keys=True) \
+    def test_shipped_payload_runs_to_the_serial_record(self):
+        backend = RemoteBackend(["127.0.0.1:1"],
+                                artifact_store=ArtifactCache())
+        for job in plan_jobs(c_grid_spec()):
+            inline = execute_payload(job.payload, cache=ArtifactCache())
+            shipped = execute_payload(backend._shipped(job.payload),
+                                      cache=ArtifactCache())
+            assert json.dumps(shipped, sort_keys=True) \
                 == json.dumps(inline, sort_keys=True)
 
-    def test_artifact_unavailable_redispatches_inline(self):
-        """A worker that cannot resolve a reference answers
-        ``artifactUnavailable``; the backend re-sends the job inline
-        (attempt refunded) and the sweep completes with records
-        byte-identical to a serial run."""
-        store = ArtifactCache()
-        seen = {"reference": 0, "inline": 0, "prefetch": 0}
-        lock = threading.Lock()
+    def test_one_compile_and_only_assembly_on_the_wire(self, monkeypatch):
+        """A sweep of one good and one broken C program over a live
+        worker: the dispatcher compiles each once, every body it sends
+        carries assembly, the broken program's jobs settle with the
+        serial record without reaching the worker, and the worker never
+        compiles."""
+        spec = c_grid_spec([{"name": "sum", "c": C_KERNEL, "entry": "main"},
+                            {"name": "bad", "c": BAD_C, "entry": "main"}])
+        payloads = [job.payload for job in plan_jobs(spec)]
+        serial = SerialBackend().run(payloads)
+        sent = []
+        real = SimClient.worker_execute
 
-        class FakeClient:
-            def worker_execute(self, body, cancel_id=None):
-                program = body.get("program") or {}
-                if "artifactRef" in program:
-                    with lock:
-                        seen["reference"] += 1
-                    return {"success": True, "ok": False,
-                            "kind": "artifactUnavailable",
-                            "error": "no fetch source reachable"}
-                with lock:
-                    seen["inline"] += 1
-                value = execute_payload(body, cache=ArtifactCache())
-                return {"success": True, "ok": True, "value": value}
+        def recorded(client, body, cancel_id=None):
+            sent.append(body)
+            return real(client, body, cancel_id=cancel_id)
 
-            def artifact_prefetch(self, artifacts):
-                with lock:
-                    seen["prefetch"] += 1
-                return {"accepted": len(artifacts)}
-
-            def close(self):
-                pass
-
-        backend = RemoteBackend(["127.0.0.1:1"],
-                                client_factory=lambda worker: FakeClient(),
-                                artifact_store=store,
-                                artifact_origin=self.origin())
-        payloads = [job.payload for job in plan_jobs(c_grid_spec())]
-        results = backend.run(payloads)
-        assert [r.kind for r in results] == ["ok"] * len(payloads)
-        baseline = [execute_payload(p, cache=ArtifactCache())
-                    for p in payloads]
-        assert [json.dumps(r.value, sort_keys=True) for r in results] \
-            == [json.dumps(v, sort_keys=True) for v in baseline]
-        assert seen["reference"] == len(payloads)
-        assert seen["inline"] == len(payloads)
-        assert seen["prefetch"] == 1           # once per worker per run
+        monkeypatch.setattr(SimClient, "worker_execute", recorded)
+        calls = counting_compile(monkeypatch)
+        worker = SimServer(("127.0.0.1", 0))
+        worker.start_background()
+        try:
+            store = ArtifactCache()
+            remote = RemoteBackend([f"127.0.0.1:{worker.port}"],
+                                   artifact_store=store).run(payloads)
+            worker_stats = worker.api.artifacts.stats()
+        finally:
+            worker.shutdown()
+            worker.server_close()
+        assert record_bytes(remote) == record_bytes(serial)
+        assert [r.kind for r in remote].count("error") == 3
+        assert all(r.error.startswith("JobError: C compilation failed at O1")
+                   for r in remote if not r.ok)
+        assert len(sent) == 3
+        assert all(isinstance(body["program"]["source"], str)
+                   and "c" not in body["program"] for body in sent)
+        assert worker_stats["compile"] == {"hits": 0, "misses": 0,
+                                           "entries": 0}
+        assert store.stats()["compile"]["misses"] == 1 + 3
+        # one compile of the good program; a failure is never cached, so
+        # each broken job compiles again, exactly as the serial loop does
+        assert calls.count((C_KERNEL, 1)) == 1

@@ -113,6 +113,23 @@ class TestFleetBackendBasics:
         assert registry.snapshot()["live"] == 1
         assert registry.snapshot()["rows"][0]["capacity"] == 3
 
+    def test_fleet_submit_threads_the_store_into_its_backend(self):
+        """A server's fleet sweep compiles through the server's store."""
+        from repro.explore.artifacts import ArtifactCache
+        from repro.explore.service import ExploreManager
+        registry = WorkerRegistry()
+        registry.register(f"127.0.0.1:{free_port()}")
+        store = ArtifactCache()
+        manager = ExploreManager()
+        manager.fleet = registry
+        manager.artifacts = store
+        spec = {"name": "store",
+                "programs": [{"name": "prog", "source": SUM_LOOP}]}
+        state = manager.submit(spec, backend="fleet")
+        manager.cancel(state.id)
+        manager.close()
+        assert state.fleet_backend.artifact_store is store
+
 
 class TestMembershipChurn:
     def test_worker_joining_mid_sweep_serves_jobs(self, worker_server,
@@ -324,75 +341,3 @@ class TestFleetCancellation:
         # 50M spin cycles would take minutes; cancellation must stop the
         # in-flight job within (stride + propagation) — seconds at most
         assert elapsed < 30.0
-
-
-class TestPeerFetchHints:
-    """Artifact data plane (protocol v8): heartbeat key-sets become
-    peer ``fetchFrom`` hints, so a cold worker can pull a compiled
-    artifact from a warmed sibling instead of the frontend."""
-
-    def registry_with_advertisers(self):
-        registry = WorkerRegistry()
-        registry.register("127.0.0.1:7101",
-                          cache_stats={"keys": {"compiled": ["k1", "k2"]}})
-        registry.register("127.0.0.1:7102",
-                          cache_stats={"keys": {"compiled": ["k1"]}})
-        registry.register("127.0.0.1:7103",
-                          cache_stats={"keys": {"compiled": ["k1"]}})
-        registry.register("127.0.0.1:7104", cache_stats={"hits": 3})
-        return registry
-
-    def test_advertised_keys_index_by_compile_key(self):
-        backend = RemoteBackend(self.registry_with_advertisers(),
-                                artifact_origin="127.0.0.1:7000")
-        peers = backend._advertised_keys()
-        assert set(peers["k1"]) == {"127.0.0.1:7101", "127.0.0.1:7102",
-                                    "127.0.0.1:7103"}
-        assert peers["k2"] == ["127.0.0.1:7101"]
-        # the stats-only worker (old heartbeat shape) is simply absent
-
-    def test_fetch_from_is_origin_then_at_most_two_peers(self):
-        class KeyedStore:
-            """Registers every program under the test's fixed keys."""
-            ref = {}
-
-            def register_program(self, spec, level):
-                return self.ref
-
-        store = KeyedStore()
-        backend = RemoteBackend(self.registry_with_advertisers(),
-                                artifact_store=store,
-                                artifact_origin="127.0.0.1:7000")
-        payload = {"program": {"name": "p", "source": "ebreak"}}
-
-        def fetch_from(ref):
-            store.ref = ref
-            wire, _refs = backend._prepare_dataplane([payload])
-            return wire[0]["program"]["artifactRef"]["fetchFrom"]
-
-        urls = fetch_from({"sourceKey": "s", "compileKey": "k1"})
-        assert urls[0] == "127.0.0.1:7000"      # origin always first
-        assert len(urls) == 3                   # capped at two peer hints
-        assert set(urls[1:]) < {"127.0.0.1:7101", "127.0.0.1:7102",
-                                "127.0.0.1:7103"}
-        # a key nobody advertises falls back to the origin alone
-        assert fetch_from({"sourceKey": "s"}) == ["127.0.0.1:7000"]
-
-    def test_scheduler_threads_store_and_origin_into_backends(self):
-        from repro.explore.artifacts import ArtifactCache
-        from repro.explore.service import ExploreManager
-        registry = WorkerRegistry()
-        registry.register(f"127.0.0.1:{free_port()}")
-        store = ArtifactCache()
-        manager = ExploreManager()
-        manager.fleet = registry
-        manager.artifacts = store
-        manager.dataplane_origin = "127.0.0.1:7000"
-        spec = {"name": "store-origin",
-                "programs": [{"name": "prog", "source": SUM_LOOP}]}
-        state = manager.submit(spec, backend="fleet")
-        manager.cancel(state.id)
-        manager.close()
-        backend = state.fleet_backend
-        assert backend.artifact_store is store
-        assert backend.artifact_origin == "127.0.0.1:7000"

@@ -1,43 +1,29 @@
-"""Protocol-v8 artifact data plane over the wire: ``GET /artifact/<key>``,
-``POST /artifact/prefetch``, reference-carrying ``/worker/execute``
-payloads, and the fleet-level acceptance that a repeated program compiles
-once — on the origin — no matter how many workers run the sweep."""
+"""The artifact cache over the wire (protocol v10): a fleet sweep and a
+CLI ``--backend remote`` sweep compile a repeated C program once, on
+their dispatcher, and ship the assembly — no worker compiles, records
+stay byte-identical to serial — and the v8 artifact routes are gone."""
 
 import json
-import socket
 import time
 
 import pytest
 
-from repro.explore.artifacts import _digest
-from repro.explore.backend import RemoteBackend
-from repro.explore.plan import plan_jobs
-from repro.explore.spec import SweepSpec
+from repro.cli.main import main
+from repro.explore.artifacts import (ARTIFACT_DIR_ENV, default_cache,
+                                     reset_default_cache)
 from repro.server.client import SimClient
 from repro.server.httpd import SimServer
-from repro.server.protocol import Api, ApiError
+from repro.server.protocol import PROTOCOL_VERSION, Api, ApiError
 
 C_KERNEL = ("int main(void) { int s = 0; "
             "for (int i = 1; i <= 11; i++) s += i; return s; }")
 
-
-def c_grid_spec(points=4):
-    return SweepSpec.from_json({
-        "name": "artifact-api",
-        "programs": [{"name": "sum", "c": C_KERNEL, "entry": "main"}],
-        "axes": [{"name": "width", "path": "config.buffers.fetchWidth",
-                  "values": [1, 2, 3, 4][:points]}],
-    })
-
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def record_bytes(results):
-    return [json.dumps(r, sort_keys=True) for r in results]
+SPEC = {
+    "name": "artifact-api",
+    "programs": [{"name": "sum", "c": C_KERNEL, "entry": "main"}],
+    "axes": [{"name": "width", "path": "config.buffers.fetchWidth",
+              "values": [1, 2, 3, 4]}],
+}
 
 
 @pytest.fixture
@@ -50,213 +36,95 @@ def server():
 
 
 @pytest.fixture
-def client(server):
-    wrapper = SimClient(port=server.port)
-    yield wrapper
-    wrapper.close()
-
-
-class TestArtifactEndpoint:
-    def test_unknown_key_is_404(self, client):
-        with pytest.raises(ApiError) as info:
-            client.artifact("f" * 64)
-        assert info.value.status == 404
-
-    def test_bare_route_without_key_is_400(self, client):
-        with pytest.raises(ApiError) as info:
-            client.request("GET", "/artifact")
-        assert info.value.status == 400
-
-    def test_serves_registered_source_and_compiled_assembly(
-            self, server, client):
-        spec = {"name": "sum", "c": C_KERNEL, "entry": "main"}
-        ref = server.api.artifacts.register_program(spec, 1)
-        source = client.artifact(ref["sourceKey"])
-        assert source["success"] and source["protocolVersion"] >= 8
-        assert source["artifact"] == {"kind": "source", "program": spec}
-        compiled = client.artifact(ref["compileKey"])
-        assert compiled["artifact"]["kind"] == "assembly"
-        assert compiled["artifact"]["assembly"] \
-            == server.api.artifacts.compiled_assembly(C_KERNEL, 1)
-
-    def test_prefetch_validates_body(self, server):
-        with pytest.raises(ApiError) as info:
-            server.api.handle("POST", "/artifact/prefetch", {})
-        assert info.value.status == 400
-
-    def test_prefetch_pulls_artifacts_from_origin(self, server, client):
-        """The warm-push path end-to-end: the origin registers a
-        program, a second server is told to prefetch it, and moments
-        later serves both artifacts from its own cache."""
-        spec = {"name": "sum", "c": C_KERNEL, "entry": "main"}
-        ref = dict(server.api.artifacts.register_program(spec, 1))
-        ref["fetchFrom"] = [f"127.0.0.1:{server.port}"]
-        worker = SimServer(("127.0.0.1", 0))
+def fleet():
+    workers = [SimServer(("127.0.0.1", 0)) for _ in range(2)]
+    for worker in workers:
         worker.start_background()
-        try:
-            peer = SimClient(port=worker.port)
-            out = peer.artifact_prefetch([ref])
-            assert out["success"] and out["accepted"] == 1
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if worker.api.artifacts.serve_artifact(
-                        ref["compileKey"]) is not None:
-                    break
-                time.sleep(0.02)
-            assert worker.api.artifacts.serve_artifact(ref["sourceKey"]) \
-                == {"kind": "source", "program": spec}
-            served = worker.api.artifacts.serve_artifact(ref["compileKey"])
-            assert served["assembly"] \
-                == server.api.artifacts.compiled_assembly(C_KERNEL, 1)
-            # the worker never compiled: both artifacts were fetched
-            assert worker.api.artifacts.stats()["compile"]["misses"] == 0
-            peer.close()
-        finally:
-            worker.shutdown()
-            worker.server_close()
+    yield workers
+    for worker in workers:
+        worker.shutdown()
+        worker.server_close()
 
 
-class TestReferenceExecution:
-    def wire_payload(self, origin_server, payload):
-        ref = dict(origin_server.api.artifacts.register_program(
-            payload["program"], int(payload["program"].get(
-                "optimizeLevel", 1))))
-        ref["fetchFrom"] = [f"127.0.0.1:{origin_server.port}"]
-        rewritten = dict(payload)
-        rewritten["program"] = {"name": payload["program"]["name"],
-                                "artifactRef": ref}
-        return rewritten
+@pytest.fixture
+def memory_only_default_cache(monkeypatch):
+    """The process default cache without its disk tier, so a compile
+    here is a compile, not a hit left by an earlier run."""
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, "off")
+    reset_default_cache()
+    yield
+    monkeypatch.undo()
+    reset_default_cache()
 
-    def test_worker_resolves_reference_fetched_from_origin(self, server):
-        """/worker/execute with an artifact reference produces the exact
-        record the inline payload produces — via a real fetch."""
-        payload = plan_jobs(c_grid_spec())[0].payload
-        worker = SimServer(("127.0.0.1", 0))
-        worker.start_background()
-        try:
-            inline = worker.api.handle("POST", "/worker/execute",
-                                       {"payload": payload})
-            wire = self.wire_payload(server, payload)
-            fetched = worker.api.handle("POST", "/worker/execute",
-                                        {"payload": wire})
-            assert fetched["ok"]
-            assert json.dumps(fetched["value"], sort_keys=True) \
-                == json.dumps(inline["value"], sort_keys=True)
-            assert worker.api.artifacts.remote.stats()["hits"] >= 1
-        finally:
-            worker.shutdown()
-            worker.server_close()
 
-    def test_unresolvable_reference_reports_artifact_unavailable(
-            self, server):
-        payload = plan_jobs(c_grid_spec())[0].payload
-        wire = dict(payload)
-        wire["program"] = {"artifactRef": {
-            "sourceKey": "e" * 64,
-            "fetchFrom": [f"127.0.0.1:{free_port()}"]}}
-        out = server.api.handle("POST", "/worker/execute",
-                                {"payload": wire})
-        assert out["success"] and not out["ok"]
-        assert out["kind"] == "artifactUnavailable"
-        assert "not available" in out["error"]
+def worker_compiles(fleet):
+    return [w.api.artifacts.stats()["compile"] for w in fleet]
 
-    def test_fetch_stats_on_worker_status_and_metrics(self, server, client):
-        # provoke one fetch error so the counters exist in the scrape
-        server.api.artifacts.remote.fetch(
-            "d" * 64, [f"127.0.0.1:{free_port()}"])
-        status = client.worker_status()
-        fetch = status["artifactCache"]["fetch"]
-        assert set(fetch) == {"hits", "misses", "errors", "negativeHits"}
-        assert fetch["errors"] == 1
-        names = {entry["name"]
-                 for entry in client.metrics()["metrics"]}
-        assert "repro_artifact_fetch_total" in names
-        assert "repro_artifact_fetch_seconds" in names
+
+def finished_records(client, sweep_id):
+    deadline = time.monotonic() + 60.0
+    while client.explore_status(sweep_id)["state"] in ("queued", "running"):
+        assert time.monotonic() < deadline, "sweep stuck"
+        time.sleep(0.05)
+    return client.explore_result(sweep_id)["records"]
 
 
 class TestFleetDataPlane:
-    """The tentpole acceptance at test scale: a repeated-program sweep
-    over multiple workers compiles once fleet-wide, and records stay
-    byte-identical to serial — plane on, plane off, and with every
-    fetch source dead."""
-
-    @pytest.fixture
-    def fleet(self, server):
-        workers = [SimServer(("127.0.0.1", 0)) for _ in range(2)]
-        for worker in workers:
-            worker.start_background()
-        yield workers
-        for worker in workers:
-            worker.shutdown()
-            worker.server_close()
-
-    def run_backend(self, server, fleet, origin=None):
-        backend = RemoteBackend(
-            [f"127.0.0.1:{w.port}" for w in fleet],
-            artifact_store=server.api.artifacts,
-            artifact_origin=origin if origin is not None
-            else f"127.0.0.1:{server.port}")
-        payloads = [job.payload for job in plan_jobs(c_grid_spec())]
-        results = backend.run(payloads)
-        assert [r.kind for r in results] == ["ok"] * len(payloads)
-        return [r.value for r in results]
-
-    def serial_values(self):
-        from repro.explore.artifacts import ArtifactCache
-        from repro.explore.runner import execute_payload
-        return [execute_payload(job.payload, cache=ArtifactCache())
-                for job in plan_jobs(c_grid_spec())]
-
     def test_one_compile_fleet_wide_and_identical_records(
             self, server, fleet):
-        values = self.run_backend(server, fleet)
-        assert record_bytes(values) == record_bytes(self.serial_values())
-        # the origin compiled the shared program exactly once; every
-        # worker fetched — zero compile misses off the origin
-        assert server.api.artifacts.stats()["compile"]["misses"] == 1
-        worker_misses = sum(
-            w.api.artifacts.stats()["compile"]["misses"] for w in fleet)
-        assert worker_misses == 0
+        """A fleet sweep compiles the shared program once, on the
+        frontend; its workers receive assembly and compile nothing."""
+        for worker in fleet:
+            server.api.fleet.register(f"127.0.0.1:{worker.port}")
+        client = SimClient(port=server.port)
+        try:
+            serial = finished_records(client, client.explore_submit(
+                SPEC, backend="serial")["sweepId"])
+            before = server.api.artifacts.stats()["compile"]["misses"]
+            records = finished_records(client, client.explore_submit(
+                SPEC, backend="fleet")["sweepId"])
+        finally:
+            client.close()
+        assert [r["ok"] for r in records] == [True] * 4
+        assert json.dumps(records, sort_keys=True) \
+            == json.dumps(serial, sort_keys=True)
+        assert server.api.artifacts.stats()["compile"]["misses"] \
+            == before + 1
+        assert worker_compiles(fleet) == [
+            {"hits": 0, "misses": 0, "entries": 0}] * 2
+        assert sum(w.api.artifacts.stats()["assemble"]["misses"]
+                   for w in fleet) >= 1
 
-    def test_kill_switch_keeps_records_identical(self, server, fleet,
-                                                 monkeypatch):
-        from repro.explore.artifacts import ARTIFACT_FETCH_ENV
-        monkeypatch.setenv(ARTIFACT_FETCH_ENV, "0")
-        values = self.run_backend(server, fleet)
-        assert record_bytes(values) == record_bytes(self.serial_values())
-        # inline dispatch throughout: the workers compiled, not the origin
-        assert server.api.artifacts.stats()["compile"]["misses"] == 0
-
-    def test_dead_fetch_origin_degrades_to_inline_identical_records(
-            self, server, fleet):
-        values = self.run_backend(server, fleet,
-                                  origin=f"127.0.0.1:{free_port()}")
-        assert record_bytes(values) == record_bytes(self.serial_values())
-        worker_misses = sum(
-            w.api.artifacts.stats()["compile"]["misses"] for w in fleet)
-        assert worker_misses >= 1              # they fell back and compiled
+    def test_cli_remote_sweep_compiles_once_on_the_dispatcher(
+            self, fleet, tmp_path, memory_only_default_cache):
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps(SPEC))
+        serial_out, remote_out = tmp_path / "s.jsonl", tmp_path / "r.jsonl"
+        assert main(["explore", str(spec_file), "--backend", "serial",
+                     "--quiet", "--out", str(serial_out)]) == 0
+        reset_default_cache()
+        urls = [arg for worker in fleet
+                for arg in ("--worker-url", f"127.0.0.1:{worker.port}")]
+        assert main(["explore", str(spec_file), "--backend", "remote",
+                     *urls, "--quiet", "--out", str(remote_out)]) == 0
+        assert remote_out.read_bytes() == serial_out.read_bytes()
+        assert default_cache().stats()["compile"]["misses"] == 1
+        assert worker_compiles(fleet) == [
+            {"hits": 0, "misses": 0, "entries": 0}] * 2
 
 
 class TestSchemaAndVersion:
-    def test_schema_advertises_the_data_plane_routes(self):
+    def test_data_plane_routes_are_gone(self):
+        assert PROTOCOL_VERSION == 10
         api = Api()
         try:
-            schema = api.handle("GET", "/schema", None)
-            routes = {(e["method"], e["path"])
-                      for e in schema["endpoints"]}
-            assert ("GET", "/artifact/<key>") in routes
-            assert ("POST", "/artifact/prefetch") in routes
-            assert schema["protocolVersion"] >= 8
-        finally:
-            api.close()
-
-    def test_source_key_is_content_addressed(self):
-        api = Api()
-        try:
-            spec = {"name": "sum", "c": C_KERNEL}
-            ref_a = api.artifacts.register_program(dict(spec), 1)
-            ref_b = api.artifacts.register_program(dict(spec), 1)
-            assert ref_a == ref_b
-            assert ref_a["sourceKey"] == _digest("source", spec)
+            for method, path in (("GET", "/artifact/" + "f" * 64),
+                                 ("POST", "/artifact/prefetch")):
+                with pytest.raises(ApiError,
+                                   match="no such endpoint") as info:
+                    api.handle(method, path, {})
+                assert info.value.status == 404
+            stats = api.handle("GET", "/worker/status", None)
+            assert "fetch" not in stats["artifactCache"]
         finally:
             api.close()

@@ -148,6 +148,35 @@ class TestRequestBounds:
         TestHostileBodies.assert_healthy(client)
 
 
+class TestWronglyTypedFields:
+    """An id or name sent as a list or an object gets a 400 with an
+    error body, not the 500 of an unhashable lookup."""
+
+    def test_lists_and_objects_are_400(self, client):
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        asm = DEFAULT_PROGRAMS[0]
+        table = [(f"/session/{route}", {"sessionId": bad})
+                 for route in ("step", "state", "seek", "memory", "close")
+                 for bad in ([sid], {"id": sid})]
+        table += [(f"/explore/{route}", {"sweepId": bad})
+                  for route in ("status", "result", "cancel", "events")
+                  for bad in (["x"], {"id": "x"})]
+        table += [(route, {"code": asm, "entry": bad})
+                  for route in ("/simulate", "/session/new")
+                  for bad in (["main"], {"label": "main"})]
+        table += [("/session/memory", {"sessionId": sid, "dtype": bad})
+                  for bad in (["word"], {"type": "word"})]
+        assert len(table) == 24
+        for route, body in table:
+            with pytest.raises(ApiError) as info:
+                client.request("POST", route, body)
+            assert info.value.status == 400, (route, body, info.value)
+            assert info.value.message, (route, body)
+        assert client.session_step(sid, 1)["state"]["cycle"] == 1
+        assert client.session_close(sid)["success"]
+        TestHostileBodies.assert_healthy(client)
+
+
 class TestHostileBodies:
     """Body-level garbage gets a prompt 4xx with a JSON error and leaves
     the server healthy (raw sockets: http.client would refuse to send
