@@ -235,6 +235,8 @@ for entry in sweep.report(metric="cycles").ranking():
 # jobs with the serial loop's error record and never reaches a worker.
 # benchmarks/BENCH_dataplane.json pins the cold-fleet setup this saves
 # (>= 3x with 6 workers) and serial = remote = fleet record identity.
+# The saving needs repeated programs: distinct programs compile one
+# after another on the dispatcher, not in parallel on the workers.
 # ---------------------------------------------------------------------------
 from repro.explore.artifacts import ArtifactCache
 

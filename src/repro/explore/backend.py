@@ -53,6 +53,7 @@ from repro.explore.artifacts import default_cache
 from repro.explore.pool import (CANCELLED_MESSAGE, CancelLike, JobResult,
                                 ProcessWorkerPool)
 from repro.obs.metrics import default_registry
+from repro.obs.trace import rebase
 
 __all__ = [
     "ExecutionBackend",
@@ -300,11 +301,15 @@ class RemoteBackend(ExecutionBackend):
         transport-failure exclusion.  Membership decides only *where*
         jobs run, so records stay byte-identical through any churn.
     job_timeout_s:
-        Per-job wall-clock budget, enforced client-side as the HTTP
-        request timeout.  On expiry the job reports ``kind="timeout"``
-        with the same message the process pool produces; it is *not*
-        re-dispatched (matching the pool's timeout semantics — a slow
-        job would only time out twice).
+        Per-job wall-clock budget, enforced client-side: the dispatcher
+        compile spends from it, and what is left is the HTTP request
+        timeout.  A compile is not interrupted, so one that overruns the
+        budget settles the job when it returns, without a send.  On
+        expiry the job reports ``kind="timeout"`` with the same message
+        the process pool produces; it is *not* re-dispatched (matching
+        the pool's timeout semantics — a slow job would only time out
+        twice), and its worker is sent ``/worker/cancel`` so the job
+        stops there too.
     inflight_per_worker:
         In-flight window per worker: each slot is one connection thread,
         so at most ``workers x inflight_per_worker`` jobs are on the
@@ -324,9 +329,10 @@ class RemoteBackend(ExecutionBackend):
         process :func:`repro.explore.artifacts.default_cache`).  Every
         ``/worker/execute`` body carries assembly, and the compile is
         single-flighted, so a sweep compiles each (source, level) once
-        however many workers run it.  A program that does not compile
-        settles its job with the serial loop's ``kind="error"`` record
-        and never reaches a worker.
+        however many workers run it, though distinct programs compile
+        one after another here rather than in parallel on the workers.
+        A program that does not compile settles its job with the serial
+        loop's ``kind="error"`` record and never reaches a worker.
 
     Every dispatch carries a ``cancelId``: a fired cancel token is
     propagated to the owning worker via ``POST /worker/cancel``, whose
@@ -689,6 +695,15 @@ class _RemoteRun:
                 elapsed_s=time.monotonic() - started),
                 transport_failure=False)
             return
+        # the dispatcher compile is part of the job, as a worker compile
+        # is on the process pool: it spends the job's budget, and what
+        # the worker did starts when the body goes out
+        sent = time.monotonic() - started
+        if backend.job_timeout_s is not None:
+            if sent >= backend.job_timeout_s:
+                self._timed_out(worker, job, started)
+                return
+            client.timeout = backend.job_timeout_s - sent
         try:
             reply = client.worker_execute(
                 body, cancel_id=self.cancel_id(job.index))
@@ -698,13 +713,11 @@ class _RemoteRun:
                 # slow/dead transport — retry like any other failure
                 self._retry_or_crash(worker, job, started)
                 return
-            # enforced client-side; matches the process pool's message so
-            # timeout records are identical across backends.  No retry.
-            self._settle(worker, job, JobResult(
-                index=job.index, kind="timeout",
-                error=f"job exceeded {backend.job_timeout_s:g}s timeout",
-                worker=worker.url, elapsed_s=time.monotonic() - started),
-                transport_failure=False)
+            # stop the abandoned job on its worker, as the process pool
+            # kills its worker on a timeout
+            self._send_worker_cancel(worker, self.cancel_id(job.index),
+                                     "timeout")
+            self._timed_out(worker, job, started)
             return
         except Exception as exc:  # noqa: BLE001 - refused/reset/rejected
             from repro.server.protocol import ApiError
@@ -721,6 +734,8 @@ class _RemoteRun:
             return
         elapsed = time.monotonic() - started
         spans = reply.get("spans")   # worker-side trace spans (protocol v7)
+        if spans:
+            spans = rebase(spans, sent)
         if reply.get("ok"):
             result = JobResult(index=job.index, kind="ok",
                                value=reply.get("value"), worker=worker.url,
@@ -732,6 +747,17 @@ class _RemoteRun:
                                worker=worker.url, elapsed_s=elapsed,
                                spans=spans)
         self._settle(worker, job, result, transport_failure=False)
+
+    def _timed_out(self, worker: _RemoteWorker, job: _PendingJob,
+                   started: float) -> None:
+        """Settle a job that overran its budget.  Enforced client-side;
+        the process pool's message, so timeout records are identical
+        across backends.  No retry."""
+        self._settle(worker, job, JobResult(
+            index=job.index, kind="timeout",
+            error=f"job exceeded {self.backend.job_timeout_s:g}s timeout",
+            worker=worker.url, elapsed_s=time.monotonic() - started),
+            transport_failure=False)
 
     def _settle(self, worker: _RemoteWorker, job: _PendingJob,
                 result: JobResult, transport_failure: bool) -> None:

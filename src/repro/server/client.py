@@ -22,8 +22,22 @@ class SimClient:
         self.host = host
         self.port = port
         self.use_gzip = use_gzip
-        self.timeout = timeout
         self._conn: Optional[http.client.HTTPConnection] = None
+        self.timeout = timeout
+
+    @property
+    def timeout(self) -> float:
+        """Socket timeout in seconds; setting it also re-arms the open
+        keep-alive connection."""
+        return self._timeout
+
+    @timeout.setter
+    def timeout(self, value: float) -> None:
+        self._timeout = value
+        if self._conn is not None:
+            self._conn.timeout = value
+            if self._conn.sock is not None:
+                self._conn.sock.settimeout(value)
 
     # ------------------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:

@@ -867,8 +867,8 @@ class Api:
         out["artifactCache"] = self.artifacts.stats()
         if tracer is not None:
             # span times are relative to this worker's job start; the
-            # frontend rebases them onto the sweep timeline at dispatch
-            # offset, so clock domains never mix
+            # dispatcher rebases them onto the sweep timeline at the
+            # offset it sent the job, so clock domains never mix
             out["spans"] = tracer.export()
         _WORKER_JOBS.inc(kind=kind)
         _WORKER_EXECUTE_SECONDS.observe(elapsed)

@@ -106,10 +106,12 @@ class TestBackendIdentity:
         for run in runs[1:]:
             assert record_bytes(run) == baseline
 
-    def test_timeout_records_identical_process_vs_remote(self, worker_urls):
+    def test_timeout_records_identical_process_vs_remote(
+            self, worker_servers, worker_urls):
         """A job over budget reports kind=timeout with the identical
         message on the process pool and the remote fleet (the serial
-        loop deliberately has no timeout)."""
+        loop deliberately has no timeout), and stops on its worker as
+        the pool's does."""
         spec = grid_spec("slow", source=SPIN, maxCycles=2_000_000)
         spec.axes = spec.axes[:1]          # 2 jobs are enough
         with ProcessBackend(workers=2, job_timeout_s=0.3) as pool:
@@ -120,6 +122,10 @@ class TestBackendIdentity:
         for record in process.records:
             assert record["kind"] == "timeout"
             assert record["error"] == "job exceeded 0.3s timeout"
+        deadline = time.monotonic() + 2.0
+        while any(s.api.cancels.active() for s in worker_servers):
+            assert time.monotonic() < deadline, "timed-out jobs still run"
+            time.sleep(0.01)
 
     def test_run_metadata_carries_backend_and_timings(self, serial_run):
         assert serial_run.execution["backend"] == "serial"

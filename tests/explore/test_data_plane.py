@@ -4,7 +4,10 @@ assembly.  Also the cache's single-flight miss storms and disk-GC races."""
 
 import json
 import threading
+import time
 import types
+
+import pytest
 
 from repro.explore.artifacts import ArtifactCache
 from repro.explore.backend import RemoteBackend, SerialBackend
@@ -220,3 +223,49 @@ class TestDispatchCompile:
         # one compile of the good program; a failure is never cached, so
         # each broken job compiles again, exactly as the serial loop does
         assert calls.count((C_KERNEL, 1)) == 1
+
+    def test_dispatch_compile_spends_the_job_budget(self, monkeypatch):
+        """The dispatcher compile is part of the job: one that outlasts
+        the budget settles the timeout record without a send; a shorter
+        one leaves the rest of the budget as the request timeout, and the
+        worker's spans start from when the body went out."""
+        class SlowStore(ArtifactCache):
+            def compiled_assembly(self, c_source, opt_level):
+                time.sleep(0.2)
+                return super().compiled_assembly(c_source, opt_level)
+
+        payloads = [job.payload for job in plan_jobs(c_grid_spec(points=2))]
+        for index, payload in enumerate(payloads):
+            payload["trace"] = {"traceId": "t", "parentId": f"t.j{index}"}
+        # nothing listens on port 1: a send would crash, not time out
+        over = RemoteBackend(["127.0.0.1:1"], job_timeout_s=0.1,
+                             artifact_store=SlowStore()).run(payloads)
+        assert [(r.kind, r.error) for r in over] \
+            == [("timeout", "job exceeded 0.1s timeout")] * 2
+
+        timeouts = []
+        real = SimClient.worker_execute
+
+        def recorded(client, body, cancel_id=None):
+            reply = real(client, body, cancel_id=cancel_id)
+            timeouts.append((client.timeout, client._conn.sock.gettimeout()))
+            return reply
+
+        monkeypatch.setattr(SimClient, "worker_execute", recorded)
+        worker = SimServer(("127.0.0.1", 0))
+        worker.start_background()
+        try:
+            under = RemoteBackend([f"127.0.0.1:{worker.port}"],
+                                  job_timeout_s=30.0, inflight_per_worker=1,
+                                  artifact_store=SlowStore()).run(payloads)
+        finally:
+            worker.shutdown()
+            worker.server_close()
+        assert all(r.ok for r in under)
+        # one keep-alive connection carries both jobs, re-armed for each
+        assert len(timeouts) == 2
+        for budget, socket_timeout in timeouts:
+            assert socket_timeout == pytest.approx(budget, abs=1e-6)
+            assert budget <= 30.0 - 0.2
+        for result in under:
+            assert min(span["startS"] for span in result.spans) >= 0.2
