@@ -1,17 +1,21 @@
-"""Shared fixtures and program corpus for the benchmark harness.
+"""Shared fixtures and program corpus for the paper-shape tests.
 
-Every table and figure of the paper's evaluation (Sec. IV) has a bench in
-this directory; see DESIGN.md's experiment index for the mapping.  Paper
-numbers came from an Intel i5 8300H laptop running the Java server — ours
-come from a pure-Python simulator, so absolute values differ; the *shape*
-(who wins, by what factor, where latency blows up) is asserted instead.
+Every table and figure of the paper's evaluation (Sec. IV) has a test in
+this directory, named after it (``test_table1_load.py``,
+``test_figures.py``, ``test_render_time.py`` for the render budget,
+``test_json_overhead.py`` for the JSON share, ``test_ablation_*.py``).
+Paper numbers came from an Intel i5 8300H laptop running the Java
+server — ours come from a pure-Python simulator, so absolute values
+differ; the *shape* (who wins, by what factor, where latency blows up)
+is asserted instead.  End-to-end numbers are measured only by
+``benchmarks/e2e`` (see its ``README.md``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import CpuConfig, Simulation
+from repro import CpuConfig
 from repro.compiler import compile_c
 from repro.server.httpd import SimServer
 

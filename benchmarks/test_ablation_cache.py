@@ -5,8 +5,6 @@ misses, LRU beats Random on loop reuse, write-through writes more bytes
 than write-back, and a cache-hostile stride destroys the hit rate.
 """
 
-import pytest
-
 from repro import CacheConfig, CpuConfig, MemoryLocation, Simulation
 from repro.compiler import compile_c
 
@@ -139,10 +137,3 @@ store_loop:
         print(f"\nbytes toward memory: write-back={wb_bytes} "
               f"write-through={wt_bytes}")
         assert wt_bytes > wb_bytes
-
-
-def test_cache_ablation_benchmark(benchmark):
-    cache = CacheConfig(line_count=16, line_size=16, associativity=2)
-    sim = benchmark.pedantic(lambda: run_kernel("main_seq", cache),
-                             rounds=1, iterations=1)
-    assert sim.halted

@@ -6,8 +6,6 @@ area/power model (which turns the other ablations into cost/benefit
 curves).
 """
 
-import pytest
-
 from repro import CacheConfig, CpuConfig, FuSpec, MemoryLocation, Simulation
 from repro.compiler import compile_c
 from repro.sim.energy import estimate_area, estimate_energy
@@ -171,8 +169,3 @@ w:  slli t3, t1, 2
             sim.run()
             return estimate_energy(sim.cpu).dynamic_pj["memoryTraffic"]
         assert run(True) < run(False)
-
-
-def test_pipelined_fp_benchmark(benchmark):
-    sim = benchmark.pedantic(lambda: run_fp(True), rounds=1, iterations=1)
-    assert sim.halted

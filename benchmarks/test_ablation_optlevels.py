@@ -80,11 +80,9 @@ class TestOptLevelAblation:
             < sweep[0].cpu.memory.stats()["loads"] / 2
 
 
-def test_optlevel_o0_benchmark(benchmark):
-    sim = benchmark.pedantic(lambda: run_level(0), rounds=1, iterations=1)
-    assert sim.register_value("a0") == EXPECTED
+def test_optlevel_o0_benchmark():
+    assert run_level(0).register_value("a0") == EXPECTED
 
 
-def test_optlevel_o3_benchmark(benchmark):
-    sim = benchmark.pedantic(lambda: run_level(3), rounds=1, iterations=1)
-    assert sim.register_value("a0") == EXPECTED
+def test_optlevel_o3_benchmark():
+    assert run_level(3).register_value("a0") == EXPECTED

@@ -139,17 +139,3 @@ odd:
     print(f"\ncorrelated branches: global={accuracy['global']:.3f} "
           f"local={accuracy['local']:.3f}")
     assert accuracy["global"] > accuracy["local"]
-
-
-def test_predictor_sweep_benchmark(benchmark):
-    spec = dict(SPEC, axes=[{
-        "name": "pred",
-        "values": [{"config.branchPredictor":
-                    _VARIANTS["two"].to_json()}],
-        "labels": ["two"]}])
-
-    def run_once():
-        return run_sweep(SweepSpec.from_json(spec), workers=0)
-
-    run = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    assert run.records[0]["stats"]["haltReason"]

@@ -85,13 +85,9 @@ class TestWidthAblation:
         assert ranking[0]["label"] == "program=ilp/width=w4"
 
 
-def test_width4_benchmark(benchmark):
+def test_width4_benchmark():
     spec = dict(SPEC, axes=[{
         "name": "width", "values": [width_assignments(4, 64)],
         "labels": ["w4"]}])
-
-    def run_once():
-        return run_sweep(SweepSpec.from_json(spec), workers=0)
-
-    run = benchmark.pedantic(run_once, rounds=1, iterations=1)
+    run = run_sweep(SweepSpec.from_json(spec), workers=0)
     assert run.records[0]["stats"]["ipc"] > 2.0

@@ -9,21 +9,14 @@ sweep on a 4-worker pool must
   can physically deliver it, i.e. >= 4 usable cores; single-core
   containers run the full benchmark and report the measured ratio, but
   only CI-class multi-core machines enforce the bar).
-
-``BENCH_explore.json`` pins the committed baseline numbers; CI's
-speed-smoke job prints both for trajectory tracking.
 """
 
 import json
 import os
-import pathlib
-import time
 
 import pytest
 
 from repro.explore import SweepSpec, run_sweep
-
-BASELINE = pathlib.Path(__file__).with_name("BENCH_explore.json")
 
 #: a kernel heavy enough that fork+pickle overhead is noise per job:
 #: quicksort-like nested loops over a 64-element working set
@@ -89,9 +82,6 @@ def scaling_runs():
     print(f"\nexplore scaling (8 points, {usable_cores()} usable cores): "
           f"serial={serial.elapsed_s:.2f}s 4-workers="
           f"{parallel.elapsed_s:.2f}s speedup={speedup:.2f}x")
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        print(f"committed baseline: {json.dumps(baseline['measured'])}")
     return serial, parallel, speedup
 
 
@@ -126,24 +116,3 @@ class TestExploreScaling:
         _serial, _parallel, speedup = scaling_runs
         assert speedup >= 2.5, \
             f"8-point sweep on 4 workers: {speedup:.2f}x < 2.5x"
-
-
-def test_baseline_file_is_committed_and_consistent():
-    """BENCH_explore.json is the speed-smoke trajectory anchor."""
-    baseline = json.loads(BASELINE.read_text())
-    assert baseline["sweep"]["points"] == 8
-    assert baseline["sweep"]["workers"] == 4
-    assert baseline["acceptance"]["minSpeedupX"] == 2.5
-    measured = baseline["measured"]
-    assert measured["serialS"] > 0 and measured["parallelS"] > 0
-    assert measured["speedupX"] == pytest.approx(
-        measured["serialS"] / measured["parallelS"], rel=0.02)
-
-
-def test_explore_scaling_benchmark(benchmark, scaling_runs):
-    """pytest-benchmark visibility for the pooled path (re-runs the
-    4-worker sweep once; the fixture already validated identity)."""
-    spec = eight_point_spec()
-    run = benchmark.pedantic(lambda: run_sweep(spec, workers=4),
-                             rounds=1, iterations=1)
-    assert not run.failures

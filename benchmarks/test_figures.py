@@ -1,7 +1,7 @@
 """Regeneration benches for every GUI figure in the paper.
 
 Each test rebuilds the *content* of one figure from live simulator state
-(and times it via pytest-benchmark).  Figure 11 is just QR codes linking to
+and checks it.  Figure 11 is just QR codes linking to
 the repository and demo — documented in the README, nothing to regenerate.
 """
 
@@ -43,21 +43,21 @@ def midflight():
     return sim
 
 
-def test_fig1_fetch_block(benchmark, midflight):
+def test_fig1_fetch_block(midflight):
     """Fig. 1: fetch block panel with name, info line, active instrs."""
-    text = benchmark(render_block, midflight.cpu, "fetch")
+    text = render_block(midflight.cpu, "fetch")
     assert "[Fetch]" in text and "pc=" in text
 
 
-def test_fig2_memory_popup(benchmark, midflight):
+def test_fig2_memory_popup(midflight):
     """Fig. 2: allocated arrays, starting addresses, memory dump."""
-    text = benchmark(render_memory_popup, midflight.cpu)
+    text = render_memory_popup(midflight.cpu)
     assert "arr" in text
     assert "memory dump" in text
     assert f"{midflight.symbol_address('arr'):>#10x}" in text
 
 
-def test_fig3_instruction_popup(benchmark):
+def test_fig3_instruction_popup():
     """Fig. 3: instruction state, parameters, renaming, timestamps."""
     sim = Simulation.from_source(PROGRAM, entry="main")
     captured = {}
@@ -68,12 +68,12 @@ def test_fig3_instruction_popup(benchmark):
     sim.subscribe(spy)
     sim.run()
     add = captured["add"]
-    text = benchmark(render_instruction_popup, add)
+    text = render_instruction_popup(add)
     assert "phase timestamps:" in text
     assert add.stamped(Phase.COMMIT) is not None
 
 
-def test_fig4to7_editor_payloads(benchmark):
+def test_fig4to7_editor_payloads():
     """Figs. 4-7: code editor data — compiled C + asm with line links
     (Figs. 4-5) and positioned error diagnostics (Figs. 6-7)."""
     c_source = """
@@ -84,7 +84,7 @@ int main(void) {
     return total;
 }
 """
-    result = benchmark(compile_c, c_source, 1)
+    result = compile_c(c_source, 1)
     assert result.success
     # Fig. 5: C<->assembly links — the loop body line maps to instructions
     assert any(line == 5 for line in result.line_map.values())
@@ -102,23 +102,18 @@ int main(void) {
         pytest.fail("expected AsmSyntaxError")
 
 
-def test_fig8_memory_editor(benchmark):
+def test_fig8_memory_editor():
     """Fig. 8: typed arrays with alignment and fill modes; CSV/binary
     import-export of memory dumps."""
-    def build():
-        locations = [
-            MemoryLocation(name="weights", dtype="float", alignment=16,
-                           values=[0.5, 1.5, 2.5]),
-            MemoryLocation(name="zeros", dtype="word", repeat_value=0,
-                           count=8),
-            MemoryLocation(name="noise", dtype="byte", random_count=16,
-                           random_seed=3),
-        ]
-        sim = Simulation.from_source("nop\nebreak",
-                                     memory_locations=locations)
-        return sim
-
-    sim = benchmark(build)
+    locations = [
+        MemoryLocation(name="weights", dtype="float", alignment=16,
+                       values=[0.5, 1.5, 2.5]),
+        MemoryLocation(name="zeros", dtype="word", repeat_value=0,
+                       count=8),
+        MemoryLocation(name="noise", dtype="byte", random_count=16,
+                       random_seed=3),
+    ]
+    sim = Simulation.from_source("nop\nebreak", memory_locations=locations)
     names = {s.name for s in sim.program.symbols}
     assert {"weights", "zeros", "noise"} <= names
     assert sim.symbol_address("weights") % 16 == 0
@@ -126,18 +121,14 @@ def test_fig8_memory_editor(benchmark):
     assert bytes(import_csv(dump)) == bytes(sim.cpu.memory.data[:128])
 
 
-def test_fig9_arch_settings(benchmark):
+def test_fig9_arch_settings():
     """Fig. 9: full architecture configuration round-trips through JSON
     (the window's import/export feature), covering every tab."""
     config = CpuConfig.preset("wide")
     config.cache.replacement_policy = "Random"
     config.predictor.use_global_history = True
     config.memory.load_latency = 20
-
-    def roundtrip():
-        return CpuConfig.from_json_str(config.to_json_str())
-
-    clone = benchmark(roundtrip)
+    clone = CpuConfig.from_json_str(config.to_json_str())
     assert clone == config
     exported = json.loads(config.to_json_str())
     for tab in ("buffers", "functionalUnits", "cache", "memory",
@@ -145,7 +136,7 @@ def test_fig9_arch_settings(benchmark):
         assert tab in exported
 
 
-def test_fig10_statistics_page(benchmark):
+def test_fig10_statistics_page():
     """Fig. 10: the full runtime-statistics page from a quicksort run."""
     from benchmarks.conftest import QUICKSORT_C, compile_ok
     asm = compile_ok(QUICKSORT_C, 2)
@@ -155,15 +146,15 @@ def test_fig10_statistics_page(benchmark):
     sim = Simulation.from_source(asm, config=big_stack(), entry="main",
                                  memory_locations=[data])
     sim.run()
-    text = benchmark(render_statistics, sim.stats)
+    text = render_statistics(sim.stats)
     for section in ("total cycles", "IPC", "instruction mix",
                     "functional unit busy cycles", "cache statistics"):
         assert section in text
 
 
-def test_fig12_main_window(benchmark, midflight):
+def test_fig12_main_window(midflight):
     """Fig. 12: the complete processor view with every component."""
-    text = benchmark(render_processor, midflight.cpu)
+    text = render_processor(midflight.cpu)
     for component in ("[Fetch]", "Reorder buffer", "issue window",
                       "Unit FX1", "Registers", "L1 cache", "status:"):
         assert component in text

@@ -15,8 +15,6 @@ import gzip
 import http.client
 import json
 
-import pytest
-
 from repro.server.loadtest import DEFAULT_PROGRAMS, LoadTestConfig, run_load_test
 
 
@@ -61,12 +59,12 @@ def test_gzip_loadtest_vs_identity(direct_server, nogzip_server):
     assert with_gzip.throughput_tps > 0.3 * without.throughput_tps
 
 
-def test_gzip_compression_cost_benchmark(benchmark, direct_server):
-    """CPU price of compressing one step-state payload."""
+def test_gzip_compression_cost_benchmark():
+    """One step-state payload, compressed at the server's level."""
     from repro import Simulation
     from benchmarks.conftest import SUM_LOOP
     sim = Simulation.from_source(SUM_LOOP)
     sim.step(25)
     payload = json.dumps({"success": True, "state": sim.snapshot()}).encode()
-    compressed = benchmark(gzip.compress, payload, 1)
+    compressed = gzip.compress(payload, 1)
     assert len(compressed) < len(payload)

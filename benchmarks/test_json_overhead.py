@@ -10,8 +10,6 @@ exact split depends on the host language.
 
 import json
 
-import pytest
-
 from benchmarks.conftest import SUM_LOOP
 from repro import Simulation
 
@@ -45,25 +43,11 @@ def test_fig_profile_json_share_of_step_request():
         f"JSON expected to dominate request handling, got {share:.2%}")
 
 
-def test_step_plus_serialize_benchmark(benchmark):
-    """Cost of one interactive step request (simulate + serialize)."""
-    sim = Simulation.from_source(SUM_LOOP)
-
-    def request():
-        if sim.halted:
-            sim.reset()
-        sim.step(1)
-        return json.dumps(_state_payload(sim))
-
-    out = benchmark(request)
-    assert out
-
-
-def test_serialize_only_benchmark(benchmark):
+def test_serialize_only_benchmark():
     sim = Simulation.from_source(SUM_LOOP)
     sim.step(30)
     payload = _state_payload(sim)
-    text = benchmark(json.dumps, payload)
+    text = json.dumps(payload)
     assert json.loads(text)["success"]
 
 
@@ -160,8 +144,7 @@ def test_snapshot_delta_speedup_on_larger_example():
     """Acceptance: the per-step instrumented snapshot cost drops >= 5x on
     the larger examples when served as a delta (vs the pre-state-engine
     rebuild-everything path).  Asserted with a 3x margin so scheduler noise
-    cannot flake CI; the measured factor (locally >= 5x) is printed and
-    recorded in BENCH_snapshot.json."""
+    cannot flake CI; the measured factor (locally >= 5x) is printed."""
     result = measure_snapshot_paths()
     print(f"\nrebuild: {result['rebuildMsPerStep']:.3f} ms/step, "
           f"full(cached): {result['fullMsPerStep']:.3f} ms/step, "
@@ -170,39 +153,13 @@ def test_snapshot_delta_speedup_on_larger_example():
     assert result["deltaSpeedup"] >= 3.0, result
 
 
-def test_step_plus_delta_serialize_benchmark(benchmark):
-    """Cost of one delta-served interactive step request."""
+def test_step_plus_delta_serialize_benchmark():
+    """One delta-served interactive step request."""
     from repro.sim.state import RawJson, dumps_raw
 
     sim = Simulation.from_source(SUM_LOOP)
     sim.snapshot_json()
-
-    def request():
-        if sim.halted:
-            sim.reset()
-            sim.snapshot_json()
-        sim.step(1)
-        delta = sim.snapshot_delta_json(since_cycle=sim.cycle - 1)
-        return dumps_raw({"success": True, "stateDelta": RawJson(delta)})
-
-    out = benchmark(request)
+    sim.step(1)
+    delta = sim.snapshot_delta_json(since_cycle=sim.cycle - 1)
+    out = dumps_raw({"success": True, "stateDelta": RawJson(delta)})
     assert out
-
-
-if __name__ == "__main__":
-    # Refresh the committed perf baseline:
-    #   PYTHONPATH=src:. python benchmarks/test_json_overhead.py
-    import pathlib
-    import platform
-    import sys
-
-    record = {
-        "description": "snapshot-path baseline (see measure_snapshot_paths)",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "results": measure_snapshot_paths(),
-    }
-    out_path = pathlib.Path(__file__).parent / "BENCH_snapshot.json"
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {out_path}:", json.dumps(record["results"], indent=2),
-          file=sys.stderr)

@@ -14,23 +14,20 @@ drift cancels:
 * the lock-free counter hot path stays cheap in absolute terms, and a
   concurrent scrape never blocks or corrupts writers.
 
-``BENCH_obs.json`` pins the numbers measured on a quiet machine; CI
-enforces the generous floors below so shared-runner noise cannot flake
-the job while a real regression (an accidental always-on hook) still
-fails loudly.
+The floors below are generous, so shared-runner noise cannot flake the
+suite while a real regression (an accidental always-on hook) still fails
+loudly.  Runs and counter loops are timed with ``time.thread_time()``,
+the CPU time of the measuring thread alone, so threads that other tests
+leave running in the same process are not charged to the measurement.
 """
 
 import gc
-import json
-import pathlib
 import statistics
 import time
 
 from repro import CpuConfig, Simulation
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.profile import PIPELINE_STAGES, PipelineProfiler
-
-BASELINE = pathlib.Path(__file__).with_name("BENCH_obs.json")
 
 HOT_LOOP = """
     li a0, 0
@@ -70,9 +67,9 @@ def _run_once(profiler_cycle: bool):
             "bench_obs_noise_total", "bench scratch").inc()
     gc.disable()
     try:
-        start = time.process_time()
+        start = time.thread_time()
         sim.run()
-        elapsed = time.process_time() - start
+        elapsed = time.thread_time() - start
     finally:
         gc.enable()
     return sim, elapsed
@@ -106,10 +103,10 @@ def test_counter_hot_path_cost():
     counter = registry.counter("bench_total")
     counter.inc()                               # shard setup off-clock
     iterations = 200_000
-    start = time.process_time()
+    start = time.thread_time()
     for _ in range(iterations):
         counter.inc()
-    per_inc_us = (time.process_time() - start) / iterations * 1e6
+    per_inc_us = (time.thread_time() - start) / iterations * 1e6
     print(f"\nCounter.inc: {per_inc_us:.3f} us/op "
           f"(ceiling {MAX_INC_MICROS} us)")
     assert per_inc_us < MAX_INC_MICROS
@@ -140,12 +137,3 @@ def test_scrape_never_blocks_or_loses_writes():
         thread.join()
     final = registry.scrape()[0]["values"][0]["value"]
     assert final >= last > 0
-
-
-def test_baseline_file_is_committed_and_consistent():
-    baseline = json.loads(BASELINE.read_text())
-    assert baseline["acceptance"]["minCleanRatio"] == MIN_CLEAN_RATIO
-    assert baseline["acceptance"]["maxIncMicros"] == MAX_INC_MICROS
-    measured = baseline["measured"]
-    assert measured["cleanRatio"] >= MIN_CLEAN_RATIO
-    assert measured["incMicros"] < MAX_INC_MICROS

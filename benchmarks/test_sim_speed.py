@@ -1,81 +1,43 @@
-"""JMH-equivalent microbenchmarks (Sec. IV-A: "a simple benchmark was
-developed using the Java Microbenchmark Harness").
+"""The JMH microbenchmarks' workloads (Sec. IV-A: "a simple benchmark was
+developed using the Java Microbenchmark Harness"), checked for results.
 
-Measures the simulator core in isolation (no JSON, no HTTP): single-step
-cost, run-to-completion cost for the paper's workload classes, and backward
-simulation (which the paper notes "imposes higher computational demands on
-the server").
+The simulator core in isolation (no JSON, no HTTP): run to completion on
+the paper's workload classes, backward simulation (which the paper notes
+"imposes higher computational demands on the server"), the fused
+expression entry point, the assembler and the compiler.  Their costs are
+measured end to end by ``benchmarks/e2e`` (``simulation.run_instr_per_s``
+and the per-layer shares).
 """
 
-import pytest
-
 from benchmarks.conftest import QUICKSORT_C, SUM_LOOP, big_stack, compile_ok
-from repro import CpuConfig, MemoryLocation, Simulation
+from repro import MemoryLocation, Simulation
 
 
-def test_single_step_cost(benchmark):
+def test_loop_kernel_run():
     sim = Simulation.from_source(SUM_LOOP)
-
-    def step():
-        if sim.halted:
-            sim.reset()
-        sim.step(1)
-
-    benchmark(step)
-
-
-def test_loop_kernel_run(benchmark):
-    def run():
-        sim = Simulation.from_source(SUM_LOOP)
-        sim.run()
-        return sim
-
-    sim = benchmark(run)
+    sim.run()
     assert sim.register_value("a0") == sum(range(1, 201))
 
 
-def test_quicksort_run(benchmark):
+def test_quicksort_run():
     values = [42, 7, 93, 15, 61, 2, 88, 34, 70, 11, 55, 29, 96, 4, 83, 48]
     asm = compile_ok(QUICKSORT_C, 2)
-
-    def run():
-        data = MemoryLocation(name="data", dtype="word", values=values)
-        sim = Simulation.from_source(asm, config=big_stack(), entry="main",
-                                     memory_locations=[data])
-        sim.run()
-        return sim
-
-    sim = benchmark(run)
+    data = MemoryLocation(name="data", dtype="word", values=values)
+    sim = Simulation.from_source(asm, config=big_stack(), entry="main",
+                                 memory_locations=[data])
+    sim.run()
     base = sim.symbol_address("data")
     assert [sim.memory_word(base + 4 * i) for i in range(16)] \
         == sorted(values)
 
 
-def test_simulated_cycles_per_second(benchmark):
-    """Headline simulator throughput metric (cycles/host-second)."""
-    sim = Simulation.from_source(SUM_LOOP)
-
-    def hundred_cycles():
-        if sim.halted:
-            sim.reset()
-        sim.step(100)
-
-    benchmark(hundred_cycles)
-    cps = 100 / benchmark.stats["mean"]
-    print(f"\nsimulation speed: {cps:,.0f} cycles/second")
-
-
-def test_backward_step_cost(benchmark):
+def test_backward_step_cost():
     """Backward simulation restores the nearest checkpoint and replays at
     most one interval (the paper's from-zero re-run is the fallback)."""
     sim = Simulation.from_source(SUM_LOOP)
     sim.step(200)
-
-    def back_and_forth():
-        sim.step_back(1)   # restore checkpoint + replay <= interval cycles
-        sim.step(1)
-
-    benchmark(back_and_forth)
+    sim.step_back(1)       # restore checkpoint + replay <= interval cycles
+    sim.step(1)
     assert sim.last_replay_cycles <= sim.checkpoints.interval
 
 
@@ -91,12 +53,12 @@ loop:
 """
 
 
-def test_backward_step_near_end_replays_o_k_not_o_t(benchmark):
+def test_backward_step_near_end_replays_o_k_not_o_t():
     """ROADMAP item closed by the checkpoint ring: `step_back` near the end
     of a long program replays O(K) cycles, not O(t).
 
-    The wall-clock benchmark records the win; the `last_replay_cycles`
-    assertion pins the complexity so a regression cannot hide in noise."""
+    The `last_replay_cycles` assertion pins the complexity, so a
+    regression cannot hide in timing noise."""
     sim = Simulation.from_source(LONG_LOOP)
     while not sim.halted:
         sim.step(500)
@@ -104,12 +66,8 @@ def test_backward_step_near_end_replays_o_k_not_o_t(benchmark):
     assert t > 4000          # a genuinely long program
 
     sim.seek(t - 1)          # move off the halt state
-
-    def step_back_near_end():
-        sim.step_back(1)
-        sim.step(1)
-
-    benchmark(step_back_near_end)
+    sim.step_back(1)
+    sim.step(1)
     assert sim.cycle == t - 1
     assert sim.last_replay_cycles <= sim.checkpoints.interval
     print(f"\nstep_back at cycle {t - 1}: replayed "
@@ -142,26 +100,20 @@ def test_expression_eval_context_fusion_is_allocation_free():
         f"hot loop allocated {allocations['n']} EvalContexts in 150 cycles")
 
 
-def test_expression_eval_fast_benchmark(benchmark):
-    """Micro-benchmark of the fused expression entry point."""
+def test_expression_eval_fast_benchmark():
+    """The fused expression entry point."""
     from repro.isa.expression import Expression
 
     expr = Expression.compile("\\rs1 \\rs2 + \\rd =")
     values = {"rs1": 5, "rs2": 7}
-    result, assignments, exception = benchmark(expr.eval_fast, values, 0)
+    result, assignments, exception = expr.eval_fast(values, 0)
     assert result is None                    # '=' consumed the stack value
     assert assignments == [("rd", 12)]
     assert exception is None
     assert values == {"rs1": 5, "rs2": 7}    # caller's dict untouched
 
 
-def test_assembler_cost(benchmark):
+def test_assembler_cost():
     from repro.asm.parser import assemble
-    program = benchmark(assemble, SUM_LOOP)
+    program = assemble(SUM_LOOP)
     assert len(program.instructions) == 7
-
-
-def test_compiler_cost_o2(benchmark):
-    from repro.compiler import compile_c
-    result = benchmark(compile_c, QUICKSORT_C, 2)
-    assert result.success

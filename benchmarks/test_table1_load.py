@@ -86,10 +86,3 @@ class TestTable1:
         for row in table1_rows:
             # users x (1 session creation + 40 steps)
             assert row["transactions"] == row["users"] * (STEPS + 1)
-
-
-def test_table1_direct_30_benchmark(benchmark, direct_server):
-    """pytest-benchmark entry: one full Direct/30-user scenario."""
-    result = benchmark.pedantic(
-        lambda: _run(direct_server, USERS_SMALL), rounds=1, iterations=1)
-    assert result.errors == 0

@@ -233,7 +233,7 @@ for entry in sweep.report(metric="cycles").ranking():
 # `compile.misses` reads 1 on the dispatcher and 0 on every worker
 # (GET /worker/status).  A program that does not compile settles its
 # jobs with the serial loop's error record and never reaches a worker.
-# benchmarks/BENCH_dataplane.json pins the cold-fleet setup this saves
+# benchmarks/test_dataplane.py gates the cold-fleet setup this saves
 # (>= 3x with 6 workers) and serial = remote = fleet record identity.
 # The saving needs repeated programs: distinct programs compile one
 # after another on the dispatcher, not in parallel on the workers.
@@ -312,7 +312,7 @@ assert not new, [f.render() for f in new]
 #     GET /trace/<sweepId> returns it; `repro-sim explore --trace-out
 #     FILE` exports it as NDJSON; --follow prints a live top-style
 #     summary line per finished job.
-#   * The overhead contract is pinned by benchmarks/BENCH_obs.json:
+#   * The overhead contract is gated by benchmarks/test_obs_overhead.py:
 #     uninstrumented Simulation.run() throughput is unchanged with the
 #     telemetry plane compiled in (no hooks on the hot loop), one
 #     counter bump costs well under a microsecond, and the sampled

@@ -647,16 +647,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
                         help="URL the frontend should dial back "
                              "(default: --host:--port as bound; set this "
                              "behind NAT / container networking)")
-    parser.add_argument("--capacity", type=int, default=1,
-                        help="advertised parallel-job capacity")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat interval override (default: "
-                             "what the frontend suggests, TTL/3)")
-    parser.add_argument("--cancel-stride", type=int, default=None,
-                        metavar="CYCLES",
-                        help="cooperative-cancel check interval for "
-                             "jobs this worker executes")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -667,9 +657,7 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     from repro.server.httpd import serve
     serve(args.host, args.port, enable_gzip=not args.no_gzip,
           verbose=not args.quiet, role="sweep worker",
-          register_with=args.register, advertise=args.advertise,
-          capacity=args.capacity, heartbeat_s=args.heartbeat,
-          cancel_stride=args.cancel_stride)
+          register_with=args.register, advertise=args.advertise)
     return 0
 
 

@@ -124,7 +124,7 @@ def span_tree(spans: List[dict]) -> Tuple[List[dict], Dict[str, List[dict]]]:
 def validate_tree(spans: List[dict]) -> List[str]:
     """Structural checks for a sweep's span tree; returns a list of
     problem strings (empty = connected, single-rooted, well-formed).
-    CI's obs-smoke job runs this against ``GET /trace/<sweepId>``."""
+    The server tests run this against ``GET /trace/<sweepId>``."""
     problems: List[str] = []
     if not spans:
         return ["no spans"]

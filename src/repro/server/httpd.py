@@ -129,8 +129,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            # the client hung up (say, a dispatcher that gave up on a
+            # timed-out job): nothing more can reach it, so end the
+            # connection without an error reply or a traceback
+            self.close_connection = True
 
     def _send_text(self, text: str) -> None:
         # the only text reply is the Prometheus exposition format
@@ -138,8 +144,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:             # the client hung up, as in _send
+            self.close_connection = True
 
     def _send_stream(self, events) -> None:
         """Chunked NDJSON: one event per chunk, flushed immediately.  The
@@ -234,10 +243,7 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
           verbose: bool = True, explore_workers: Optional[int] = None,
           role: str = "simulation server",
           register_with: Optional[str] = None,
-          advertise: Optional[str] = None,
-          capacity: Optional[int] = None,
-          heartbeat_s: Optional[float] = None,
-          cancel_stride: Optional[int] = None) -> None:
+          advertise: Optional[str] = None) -> None:
     """Run the server in the foreground (``repro-server`` entry point).
 
     *role* only changes the banner: a distributed-sweep worker
@@ -249,17 +255,12 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
     heartbeat thread announcing this server to that frontend's worker
     registry — the ``repro-sim worker --register`` mode.  *advertise*
     overrides the URL the frontend should dial back (defaults to
-    ``host:port`` as bound, which is wrong behind NAT/containers);
-    *capacity* is the advertised parallel-job capacity and *heartbeat_s*
-    overrides the frontend-suggested beat interval.  *cancel_stride* is
-    the cooperative-cancel check interval (cycles) for jobs this server
-    executes.
+    ``host:port`` as bound, which is wrong behind NAT/containers).  The
+    worker advertises capacity 1 and beats at the interval the frontend
+    suggests.
     """
     from repro.explore.service import ExploreManager
-    from repro.sim.simulation import DEFAULT_CANCEL_STRIDE
-    api = Api(explore=ExploreManager(workers=explore_workers),
-              cancel_stride=DEFAULT_CANCEL_STRIDE
-              if cancel_stride is None else cancel_stride)
+    api = Api(explore=ExploreManager(workers=explore_workers))
     server = SimServer((host, port), api=api, enable_gzip=enable_gzip,
                        overhead_ms=overhead_ms, verbose=verbose)
     heartbeater = None
@@ -267,8 +268,6 @@ def serve(host: str = "127.0.0.1", port: int = 8045,
         from repro.fleet.registry import Heartbeater
         heartbeater = Heartbeater(
             register_with, advertise or f"{host}:{server.port}",
-            capacity=capacity if capacity is not None else 1,
-            interval_s=heartbeat_s,
             cache_stats_fn=api.artifacts.stats)
         heartbeater.start()
     print(f"repro {role} listening on http://{host}:{server.port}"
@@ -299,16 +298,11 @@ def main(argv=None) -> int:
                         help="per-request overhead emulating Docker deployment")
     parser.add_argument("--explore-workers", type=int, default=None,
                         help="worker processes for /explore sweeps")
-    parser.add_argument("--cancel-stride", type=int, default=None,
-                        metavar="CYCLES",
-                        help="cooperative-cancel check interval for "
-                             "/worker/execute jobs")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     serve(args.host, args.port, enable_gzip=not args.no_gzip,
           overhead_ms=args.overhead_ms, verbose=not args.quiet,
-          explore_workers=args.explore_workers,
-          cancel_stride=args.cancel_stride)
+          explore_workers=args.explore_workers)
     return 0
 
 

@@ -216,14 +216,11 @@ class Api:
     pre-configured :class:`ExploreManager` (the HTTP entry point passes
     worker counts through); ``fleet`` a pre-configured
     :class:`WorkerRegistry` (tests inject short TTLs / fake clocks).
-    ``cancel_stride`` is the cooperative-cancel check interval (cycles)
-    for jobs this server executes via ``/worker/execute``.
     """
 
     def __init__(self, sessions: Optional[SessionManager] = None,
                  explore: Optional[ExploreManager] = None,
-                 fleet: Optional[WorkerRegistry] = None,
-                 cancel_stride: int = DEFAULT_CANCEL_STRIDE):
+                 fleet: Optional[WorkerRegistry] = None):
         # explicit None checks: both managers define __len__, so an empty
         # (still perfectly valid) instance is falsy and `or` would drop it
         self.sessions = sessions if sessions is not None else SessionManager()
@@ -245,7 +242,6 @@ class Api:
             self.explore.warehouse = self.warehouse
         #: in-flight cancellable jobs (/worker/execute <-> /worker/cancel)
         self.cancels = CancelRegistry()
-        self.cancel_stride = cancel_stride
 
     def close(self) -> None:
         """Stop the explore manager's workers (tests; server shutdown)."""
@@ -819,7 +815,7 @@ class Api:
         A body with a ``cancelId`` makes the job cooperatively
         cancellable: the id is registered while the job runs, and a
         ``POST /worker/cancel`` for it fires a token the simulation
-        checks every ``cancel_stride`` cycles — the job then stops
+        checks every ``DEFAULT_CANCEL_STRIDE`` cycles — the job then stops
         within one stride and replies ``kind="cancelled"`` instead of
         burning the rest of its cycle budget (the v4 known-limitation
         this closes).  A cancel that arrives *before* the execute
@@ -847,9 +843,7 @@ class Api:
         try:
             out["ok"] = True
             out["value"] = execute_payload(job, cache=self.artifacts,
-                                           cancel=token,
-                                           cancel_stride=self.cancel_stride,
-                                           tracer=tracer)
+                                           cancel=token, tracer=tracer)
         except JobCancelled:
             out["ok"] = False
             out["kind"] = kind = "cancelled"
@@ -939,7 +933,7 @@ class Api:
         return {"success": True, "protocolVersion": PROTOCOL_VERSION,
                 "artifactCache": self.artifacts.stats(),
                 "activeJobs": self.cancels.active(),
-                "cancelStride": self.cancel_stride}
+                "cancelStride": DEFAULT_CANCEL_STRIDE}
 
 
 @dataclass(frozen=True)

@@ -177,16 +177,20 @@ class TestExploreMode:
 
     def test_json_report_and_jsonl_records(self, spec_file, tmp_path,
                                            capsys):
-        records_path = tmp_path / "records.jsonl"
-        assert main(["explore", spec_file, "--workers", "0", "--quiet",
-                     "--format", "json", "--metric", "ipc",
-                     "--out", str(records_path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["metric"] == "ipc"
-        assert report["runs"] == 2
         from repro.explore import load_records
-        records = load_records(str(records_path))
-        assert [r["index"] for r in records] == [0, 1]
+        for workers in ("0", "2"):          # serial loop, process pool
+            records_path = tmp_path / f"records-{workers}.jsonl"
+            assert main(["explore", spec_file, "--workers", workers,
+                         "--quiet", "--format", "json", "--metric", "ipc",
+                         "--out", str(records_path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["metric"] == "ipc"
+            assert report["runs"] == 2
+            records = load_records(str(records_path))
+            assert [r["index"] for r in records] == [0, 1]
+            assert all(r["ok"] for r in records)
+        assert (tmp_path / "records-2.jsonl").read_bytes() \
+            == (tmp_path / "records-0.jsonl").read_bytes()
 
     def test_missing_spec_file(self, capsys):
         assert main(["explore", "/definitely/not/here.json"]) == 2
@@ -286,9 +290,16 @@ class TestExploreMode:
         assert main(["explore", spec_file, "--follow"]) == 2
         assert "requires --host" in capsys.readouterr().err
 
-    def test_fleet_submission_with_follow(self, spec_file, capsys):
+    def test_fleet_submission_with_follow(self, spec_file, tmp_path,
+                                          capsys):
         """--host --backend fleet --follow against a server whose
-        registry holds one self-registered worker (the server itself)."""
+        registry holds one self-registered worker (the server itself);
+        the records it writes are the serial loop's, byte for byte."""
+        serial_out, fleet_out = (tmp_path / "serial.jsonl",
+                                 tmp_path / "fleet.jsonl")
+        assert main(["explore", spec_file, "--backend", "serial",
+                     "--quiet", "--out", str(serial_out)]) == 0
+        capsys.readouterr()
         server = SimServer(("127.0.0.1", 0))
         server.start_background()
         try:
@@ -296,7 +307,8 @@ class TestExploreMode:
             server.api.fleet.register(f"127.0.0.1:{server.port}")
             code = main(["explore", spec_file, "--backend", "fleet",
                          "--follow", "--host", "127.0.0.1",
-                         "--port", str(server.port)])
+                         "--port", str(server.port),
+                         "--out", str(fleet_out)])
             assert code == 0
             captured = capsys.readouterr()
             assert "Design-space sweep: cli-sweep" in captured.out
@@ -306,6 +318,7 @@ class TestExploreMode:
         finally:
             server.shutdown()
             server.server_close()
+        assert fleet_out.read_bytes() == serial_out.read_bytes()
 
     def test_remote_submission(self, spec_file, capsys):
         server = SimServer(("127.0.0.1", 0))

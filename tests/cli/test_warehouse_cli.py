@@ -56,6 +56,7 @@ class TestWarehouseConsole:
                      "--format", "json"]) == 0
         pareto = json.loads(capsys.readouterr().out)
         assert pareto["points"] == 4
+        assert pareto["dominated"] == 4 - len(pareto["frontier"])
 
         assert main(["warehouse", "baseline", "day0",
                      "--store", store_path]) == 0
@@ -65,6 +66,13 @@ class TestWarehouseConsole:
         assert main(["warehouse", "diff", "--store", store_path]) == 1
         diff_text = capsys.readouterr().out
         assert "REGRESSED program=sum/width=w2: cycles" in diff_text
+        assert main(["warehouse", "diff", "--store", store_path,
+                     "--format", "json"]) == 1
+        diff = json.loads(capsys.readouterr().out)
+        [flag] = [flag for entry in diff["sweeps"] for flag in entry["flags"]]
+        assert (flag["label"], flag["metric"]) \
+            == ("program=sum/width=w2", "cycles")
+        assert flag["deltaPct"] == pytest.approx(18.75)   # 80 -> 95
 
         # clean diff (huge tolerance) exits 0
         assert main(["warehouse", "diff", "--store", store_path,

@@ -4,8 +4,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -47,12 +45,18 @@ class TestExamples:
         assert "WRONG" not in out
 
     def test_design_sweep(self):
-        out = run_example("design_sweep.py")
+        out = run_example("design_sweep.py", args=["--warehouse"])
         assert "Design-space sweep: width-x-cache" in out
         assert "best configuration: program=checksum/width=wide/cache=big" \
             in out
         assert "records round-tripped" in out
         assert "0 failures" in out
+        # the warehouse tour: import, planted regression, frontier, reopen
+        assert "nightly rerun ingested: 1 config(s) flagged" in out
+        assert "REGRESSED program=checksum/width=narrow/cache=tiny" in out
+        assert "1 regression(s) flagged" in out
+        assert "Pareto frontier (cycles vs energy)" in out
+        assert "rows, baseline pin included" in out
 
     def test_design_sweep_remote_fleet(self):
         out = run_example("design_sweep.py", args=["--backend", "remote"])
@@ -72,7 +76,6 @@ class TestExamples:
         assert "breakpoint" in out
         assert "total area" in out
 
-    @pytest.mark.slow
     def test_table1_loadtest_quick(self):
         out = run_example("table1_loadtest.py", args=["--quick",
                                                       "--users", "5"],

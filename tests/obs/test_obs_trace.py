@@ -1,5 +1,5 @@
 """Trace spans: JobTracer with an injected clock, rebasing, tree
-assembly, and the structural validator CI's obs-smoke job relies on."""
+assembly, and the structural validator the server tests rely on."""
 
 from repro.obs.trace import (JobTracer, make_span, rebase, span_tree,
                              validate_tree)

@@ -4,6 +4,8 @@ import gzip
 import http.client
 import json
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -293,6 +295,58 @@ class TestHostileBodies:
         assert data["status"] == 411 and "Content-Length" in data["error"]
         assert rest[length:] == b""     # exactly one reply
         self.assert_healthy(client)
+
+
+class TestClientHangUp:
+    def test_reset_before_the_reply_is_not_a_handler_error(self):
+        """A client that resets its connection while its /simulate still
+        runs (a dispatcher giving up on a timed-out job) is gone: the
+        failed reply write ends the connection, no 500 follows it onto
+        the dead socket, nothing reaches ``handle_error`` (which prints
+        a traceback), and the server stays healthy."""
+        server = SimServer(("127.0.0.1", 0))
+        entered, reset, finished = (threading.Event(), threading.Event(),
+                                    threading.Event())
+        errors = []
+        answer, shutdown_request = server.api.handle, server.shutdown_request
+
+        def slow(method, path, payload):
+            if path == "/simulate":
+                entered.set()
+                reset.wait(10.0)
+            return answer(method, path, payload)
+
+        def finish(request):
+            shutdown_request(request)
+            finished.set()
+
+        server.api.handle = slow
+        server.handle_error = lambda request, address: errors.append(address)
+        server.shutdown_request = finish
+        server.start_background()
+        try:
+            body = json.dumps({"code": "li a0, 9\nebreak"}).encode()
+            sock = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=5)
+            sock.sendall(b"POST /simulate HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            assert entered.wait(10.0)
+            # linger 0: close() sends a reset, not a FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            reset.set()
+            assert finished.wait(10.0)
+            assert errors == []
+            client = SimClient("127.0.0.1", server.port)
+            try:
+                assert client.health()["status"] == "ok"
+            finally:
+                client.close()
+        finally:
+            reset.set()
+            server.shutdown()
+            server.server_close()
 
 
 class TestGzip:

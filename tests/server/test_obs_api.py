@@ -215,6 +215,67 @@ class TestOverHttp:
             server.shutdown()
             server.server_close()
 
+    def test_fleet_sweep_is_one_tree_and_counted_under_fleet(self):
+        """A sweep on a registered worker: scrapes taken while it runs
+        never go backwards, its spans (the worker's compile/simulate/
+        record ones included) form one connected tree under the sweep,
+        and the Prometheus text counts its jobs under backend="fleet"."""
+        frontend, worker = (SimServer(("127.0.0.1", 0)) for _ in range(2))
+        for server in (frontend, worker):
+            server.start_background()
+        frontend.api.fleet.register(f"127.0.0.1:{worker.port}")
+        client = SimClient("127.0.0.1", frontend.port)
+        spec = tiny_spec("http-obs-fleet")
+        spec["axes"].append({"name": "lines",
+                             "path": "config.cache.lineCount",
+                             "values": [8, 32]})
+
+        def counted(name, **labels):
+            cells = family(client.metrics()["metrics"], name)["values"]
+            return sum(cell["value"] for cell in cells
+                       if labels.items() <= cell["labels"].items())
+
+        try:
+            jobs_before = counted("repro_sweep_jobs_total",
+                                  backend="fleet", kind="ok")
+            worker_jobs_before = counted("repro_worker_jobs_total",
+                                         kind="ok")
+            sweep_id = client.explore_submit(spec,
+                                             backend="fleet")["sweepId"]
+            requests = [counted("repro_requests_total")]
+            deadline = time.monotonic() + 60.0
+            while client.explore_status(sweep_id)["state"] != "done":
+                requests.append(counted("repro_requests_total"))
+                assert time.monotonic() < deadline, "sweep stuck"
+                time.sleep(0.02)
+            requests.append(counted("repro_requests_total"))
+            assert requests == sorted(requests) \
+                and requests[-1] > requests[0]
+            jobs = counted("repro_sweep_jobs_total", backend="fleet",
+                           kind="ok")
+            assert jobs == jobs_before + 4
+            assert counted("repro_worker_jobs_total", kind="ok") \
+                == worker_jobs_before + 4
+
+            spans = client.trace(sweep_id)["spans"]
+            assert validate_tree(spans) == []
+            names = [span["name"] for span in spans]
+            assert names.count("job") == 4 and names.count("compile") == 4
+            assert spans[0]["spanId"] == sweep_id
+
+            lines = client.metrics_text().splitlines()
+            assert "# TYPE repro_requests_total counter" in lines
+            assert f'repro_sweep_jobs_total{{backend="fleet",kind="ok"}} ' \
+                   f'{jobs}' in lines
+            assert any(line.startswith('repro_job_wall_seconds_bucket'
+                                       '{backend="fleet",le="+Inf"}')
+                       for line in lines)
+        finally:
+            client.close()
+            for server in (frontend, worker):
+                server.shutdown()
+                server.server_close()
+
     def test_fresh_connections_reuse_metric_shards(self):
         """Each connection runs on a new thread that counts its request;
         200 of them, one after another, leave the registry's shard list
