@@ -163,6 +163,21 @@ def run_remote_fleet() -> None:
 #    currently alive, streams per-job progress, and can cancel in-flight
 #    jobs cooperatively.  No --worker-url bookkeeping on the client.
 # ---------------------------------------------------------------------------
+def worker_jobs_counted(url: str) -> int:
+    """``repro_worker_jobs_total{kind="ok"}`` on the server at *url*."""
+    from repro.server.client import SimClient
+
+    host, port = url.split(":")
+    client = SimClient(host, int(port))
+    try:
+        family = next(f for f in client.metrics()["metrics"]
+                      if f["name"] == "repro_worker_jobs_total")
+    finally:
+        client.close()
+    return int(sum(cell["value"] for cell in family["values"]
+                   if cell["labels"].get("kind") == "ok"))
+
+
 def run_server_fleet() -> None:
     import time
 
@@ -204,6 +219,14 @@ def run_server_fleet() -> None:
             print(f"fleet ran {len(result['records'])} jobs "
                   f"({finishes} streamed finish events) — records "
                   f"identical to the local pool run")
+            # each process counts the jobs it ran on its own /metrics:
+            # the workers' counts sum to the sweep, the frontend's is 0
+            per_worker = [worker_jobs_counted(url)
+                          for _process, url in workers]
+            print(f"worker jobs on the workers' own /metrics: "
+                  f"{sum(per_worker)} ({' + '.join(map(str, per_worker))}"
+                  f"); on the frontend's: "
+                  f"{worker_jobs_counted(frontend_url)}")
         finally:
             client.close()
     finally:

@@ -102,7 +102,6 @@ def build_simulation(payload: dict,
 def execute_payload(payload: dict,
                     cache: Optional[ArtifactCache] = None,
                     cancel: Optional[object] = None,
-                    cancel_stride: Optional[int] = None,
                     tracer: Optional[object] = None) -> dict:
     """Run one planned job; return its per-run statistics record body.
 
@@ -114,9 +113,10 @@ def execute_payload(payload: dict,
     complete statistics page.
 
     *cancel* (a token with ``cancelled()``) makes the simulation
-    cooperatively cancellable at *cancel_stride* cycles; a run halted by
-    the token raises :class:`JobCancelled` instead of returning a
-    half-simulated record.
+    cooperatively cancellable every
+    :data:`~repro.sim.simulation.DEFAULT_CANCEL_STRIDE` cycles; a run
+    halted by the token raises :class:`JobCancelled` instead of
+    returning a half-simulated record.
 
     *tracer* (anything with a ``span(name, **tags)`` context manager,
     canonically :class:`repro.obs.trace.JobTracer`) times the compile /
@@ -128,7 +128,7 @@ def execute_payload(payload: dict,
     with tracer.span("compile"):
         simulation = build_simulation(payload, cache)
     with tracer.span("simulate"):
-        result = simulation.run(cancel=cancel, cancel_stride=cancel_stride)
+        result = simulation.run(cancel=cancel)
     if result.halt_reason == CANCELLED_HALT_REASON:
         raise JobCancelled("job cancelled")
     with tracer.span("record"):

@@ -277,21 +277,18 @@ class WorkerRegistry:
 class Heartbeater:
     """Worker-side registration loop (daemon thread).
 
-    Posts ``/fleet/register`` to the frontend every ``interval_s``
-    (defaulting to whatever the frontend's ack suggests), carrying the
-    worker's advertised URL, capacity, and — when a ``cache_stats_fn``
-    is given — its artifact-cache stats.  Frontend downtime is
-    tolerated: failed posts retry on the next beat.
+    Posts ``/fleet/register`` to the frontend at the interval its ack
+    suggests (``ttl/3`` until the first ack), carrying the worker's
+    advertised URL, capacity 1, and — when a ``cache_stats_fn`` is
+    given — its artifact-cache stats.  Frontend downtime is tolerated:
+    failed posts retry on the next beat.
     """
 
     def __init__(self, frontend_url: str, advertise_url: str,
-                 capacity: int = 1, interval_s: Optional[float] = None,
                  cache_stats_fn: Optional[Callable[[], dict]] = None):
         self.frontend_host, self.frontend_port = \
             _parse_worker_url(frontend_url)
         self.advertise_url = WorkerRegistry.normalize_url(advertise_url)
-        self.capacity = capacity
-        self.interval_s = interval_s
         self.cache_stats_fn = cache_stats_fn
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -305,7 +302,7 @@ class Heartbeater:
                            timeout=5.0)
         try:
             reply = client.fleet_register(
-                self.advertise_url, capacity=self.capacity,
+                self.advertise_url, capacity=1,
                 cache=self.cache_stats_fn() if self.cache_stats_fn else None)
         finally:
             client.close()
@@ -313,11 +310,11 @@ class Heartbeater:
         return reply
 
     def _loop(self) -> None:
-        interval = self.interval_s or DEFAULT_TTL_S / 3.0
+        interval = DEFAULT_TTL_S / 3.0
         while not self._stop.is_set():
             try:
                 reply = self.beat_once()
-                if self.interval_s is None and reply.get("heartbeatS"):
+                if reply.get("heartbeatS"):
                     interval = float(reply["heartbeatS"])
             except Exception:  # noqa: BLE001 - frontend down: retry later
                 pass

@@ -68,6 +68,9 @@ class TestExamples:
         assert "2 workers registered" in out
         assert "4 streamed finish events" in out
         assert "records identical to the local pool run" in out
+        # worker-side job counters live on the worker processes
+        assert "worker jobs on the workers' own /metrics: 4 (" in out
+        assert "on the frontend's: 0" in out
 
     def test_extensions_tour(self):
         out = run_example("extensions_tour.py")
