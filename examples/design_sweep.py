@@ -62,49 +62,92 @@ print(f"sweep '{spec.name}': {spec.grid_size()} design points")
 # ---------------------------------------------------------------------------
 # 2. run it — workers=2 uses the process pool (crash-isolated, per-job
 #    timeouts); workers=0 would be the plain serial loop, with
-#    bit-identical per-run statistics either way
+#    bit-identical per-run statistics either way.  The records also go
+#    to a JSONL file in a temporary directory, removed once sections 3-5
+#    are done with it
 # ---------------------------------------------------------------------------
-records_path = os.path.join(tempfile.mkdtemp(prefix="repro-sweep-"),
-                            "records.jsonl")
-with ResultStore(records_path) as store:
-    run = run_sweep(spec, workers=2, store=store)
-print(f"ran {len(run.records)} jobs on {run.workers} workers "
-      f"in {run.elapsed_s:.2f}s "
-      f"({len(run.failures)} failures)")
+with tempfile.TemporaryDirectory(prefix="repro-sweep-") as records_dir:
+    records_path = os.path.join(records_dir, "records.jsonl")
+    with ResultStore(records_path) as store:
+        run = run_sweep(spec, workers=2, store=store)
+    print(f"ran {len(run.records)} jobs on {run.workers} workers "
+          f"in {run.elapsed_s:.2f}s "
+          f"({len(run.failures)} failures)")
+
+    # -----------------------------------------------------------------------
+    # 3. the comparison report: table, ranking, pairwise speedups
+    # -----------------------------------------------------------------------
+    report = run.report(metric="cycles")
+    print()
+    print(report.render_text())
+
+    best = report.best()
+    print(f"best configuration: {best['label']} "
+          f"at {best['stats']['cycles']} cycles")
+
+    # energy tells a different story than raw speed:
+    energy_ranking = report.ranking(metric="energy")
+    print(f"most energy-frugal: {energy_ranking[0]['label']}")
+
+    # -----------------------------------------------------------------------
+    # 4. records are plain JSONL on disk — greppable, reloadable, diffable
+    # -----------------------------------------------------------------------
+    reloaded = load_records(records_path)
+    assert reloaded == run.records
+    print(f"\n{len(reloaded)} records round-tripped through {records_path}")
+    print("one record's stats keys:",
+          ", ".join(sorted(reloaded[0]["stats"])[:8]), "...")
+
+    # the same spec drives the CLI and the server:
+    #   repro-sim explore spec.json --workers 4 --metric ipc
+    #   POST /explore/submit {"spec": {...}}
+    #     -> /explore/status -> /explore/result
+    print("\nspec JSON for the CLI/server (excerpt):")
+    print(json.dumps(spec.to_json(), indent=2)[:400], "...")
+
+    # -----------------------------------------------------------------------
+    # 5. the cross-run result warehouse — run me with `--warehouse` to feed
+    #    the run above (plus a synthetic "nightly" rerun with one planted
+    #    slowdown) into repro.explore.ResultWarehouse: bulk import, a pinned
+    #    baseline, the regression sentinel, and a cross-run Pareto frontier.
+    #    The CLI equivalent against the same store file:
+    #        repro-sim warehouse ingest records.jsonl --store wh.jsonl
+    #        repro-sim warehouse baseline <sweep-id> --store wh.jsonl
+    #        repro-sim warehouse diff --store wh.jsonl     # exit 1 on flags
+    # -----------------------------------------------------------------------
+    if "--warehouse" in sys.argv[1:]:
+        import copy
+
+        from repro.explore import ResultWarehouse
+        from repro.viz import render_pareto_frontier, render_regression_report
+
+        store_path = os.path.join(records_dir, "warehouse.jsonl")
+        with ResultWarehouse(store_path) as warehouse:
+            ack = warehouse.import_file(records_path, name="width-x-cache")
+            warehouse.set_baseline(ack["sweepId"])
+            print(f"\nimported {ack['ingested']} records as baseline sweep "
+                  f"{ack['sweepId']} (content-hash id: re-importing the "
+                  f"same file is a no-op)")
+
+            nightly = copy.deepcopy(run.records)
+            nightly[0]["stats"]["cycles"] = \
+                int(nightly[0]["stats"]["cycles"] * 1.25)
+            ack = warehouse.ingest(nightly, "nightly", name="nightly")
+            print(f"nightly rerun ingested: {ack['regressions']} config(s) "
+                  f"flagged by the sentinel at ingest time\n")
+            print(render_regression_report(warehouse.regressions()), end="")
+            print()
+            print(render_pareto_frontier(
+                warehouse.pareto(x="cycles", y="energy")), end="")
+        # the store file (including the baseline pin) survives reopening:
+        with ResultWarehouse(store_path) as warehouse:
+            assert warehouse.baseline() is not None
+            print(f"\nwarehouse persisted to {store_path} "
+                  f"({len(warehouse)} rows, baseline pin included)")
+
 
 # ---------------------------------------------------------------------------
-# 3. the comparison report: table, ranking, pairwise speedups
-# ---------------------------------------------------------------------------
-report = run.report(metric="cycles")
-print()
-print(report.render_text())
-
-best = report.best()
-print(f"best configuration: {best['label']} "
-      f"at {best['stats']['cycles']} cycles")
-
-# energy tells a different story than raw speed:
-energy_ranking = report.ranking(metric="energy")
-print(f"most energy-frugal: {energy_ranking[0]['label']}")
-
-# ---------------------------------------------------------------------------
-# 4. records are plain JSONL on disk — greppable, reloadable, diffable
-# ---------------------------------------------------------------------------
-reloaded = load_records(records_path)
-assert reloaded == run.records
-print(f"\n{len(reloaded)} records round-tripped through {records_path}")
-print("one record's stats keys:",
-      ", ".join(sorted(reloaded[0]["stats"])[:8]), "...")
-
-# the same spec drives the CLI and the server:
-#   repro-sim explore spec.json --workers 4 --metric ipc
-#   POST /explore/submit {"spec": {...}} -> /explore/status -> /explore/result
-print("\nspec JSON for the CLI/server (excerpt):")
-print(json.dumps(spec.to_json(), indent=2)[:400], "...")
-
-
-# ---------------------------------------------------------------------------
-# 5. distributed sweeps — run me with `--backend remote` to fan the same
+# 6. distributed sweeps — run me with `--backend remote` to fan the same
 #    spec out over a locally spawned fleet of sweep workers (in production
 #    each worker is `repro-sim worker` on its own machine).  Records are
 #    byte-identical to the pool run above: the backend is invisible in
@@ -156,7 +199,7 @@ def run_remote_fleet() -> None:
 
 
 # ---------------------------------------------------------------------------
-# 6. fleet orchestration — run me with `--backend fleet` for the
+# 7. fleet orchestration — run me with `--backend fleet` for the
 #    server-owned version: workers *register themselves* with a frontend
 #    (`repro-sim worker --register HOST:PORT`, periodic heartbeats), the
 #    frontend schedules `"backend": "fleet"` sweeps onto whoever is
@@ -235,51 +278,6 @@ def run_server_fleet() -> None:
             process.terminate()
             process.wait(timeout=10)
 
-
-# ---------------------------------------------------------------------------
-# 6. the cross-run result warehouse — run me with `--warehouse` to feed
-#    the run above (plus a synthetic "nightly" rerun with one planted
-#    slowdown) into repro.explore.ResultWarehouse: bulk import, a pinned
-#    baseline, the regression sentinel, and a cross-run Pareto frontier.
-#    The CLI equivalent against the same store file:
-#        repro-sim warehouse ingest records.jsonl --store wh.jsonl
-#        repro-sim warehouse baseline <sweep-id> --store wh.jsonl
-#        repro-sim warehouse diff --store wh.jsonl     # exit 1 on flags
-# ---------------------------------------------------------------------------
-def run_warehouse_tour() -> None:
-    import copy
-
-    from repro.explore import ResultWarehouse
-    from repro.viz import render_pareto_frontier, render_regression_report
-
-    store_path = os.path.join(os.path.dirname(records_path),
-                              "warehouse.jsonl")
-    with ResultWarehouse(store_path) as warehouse:
-        ack = warehouse.import_file(records_path, name="width-x-cache")
-        warehouse.set_baseline(ack["sweepId"])
-        print(f"\nimported {ack['ingested']} records as baseline sweep "
-              f"{ack['sweepId']} (content-hash id: re-importing the "
-              f"same file is a no-op)")
-
-        nightly = copy.deepcopy(run.records)
-        nightly[0]["stats"]["cycles"] = \
-            int(nightly[0]["stats"]["cycles"] * 1.25)
-        ack = warehouse.ingest(nightly, "nightly", name="nightly")
-        print(f"nightly rerun ingested: {ack['regressions']} config(s) "
-              f"flagged by the sentinel at ingest time\n")
-        print(render_regression_report(warehouse.regressions()), end="")
-        print()
-        print(render_pareto_frontier(
-            warehouse.pareto(x="cycles", y="energy")), end="")
-    # the store file (including the baseline pin) survives reopening:
-    with ResultWarehouse(store_path) as warehouse:
-        assert warehouse.baseline() is not None
-        print(f"\nwarehouse persisted to {store_path} "
-              f"({len(warehouse)} rows, baseline pin included)")
-
-
-if "--warehouse" in sys.argv[1:]:
-    run_warehouse_tour()
 
 if "--backend" in sys.argv[1:]:
     backend_name = sys.argv[sys.argv.index("--backend") + 1:][:1]

@@ -26,6 +26,7 @@ import copy
 import json
 import struct
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.asm.program import Program
@@ -234,20 +235,6 @@ class Cpu:
         self.v_loadq = 0       # load queue membership
         self.v_storeb = 0      # store buffer membership + entry state
         self._snap_cache = SnapshotCache()
-        self._section_builders = {
-            "fetch": self._snap_fetch, "rob": self._snap_rob,
-            "issueWindows": self._snap_windows,
-            "functionalUnits": self._snap_fus,
-            "memoryUnits": self._snap_mem_units,
-            "loadQueue": self._snap_loadq, "storeBuffer": self._snap_storeb,
-            "registers": self.arch_regs.snapshot, "rename": self.rename.snapshot,
-            "cache": self._snap_cache_lines, "l2Cache": self._snap_l2_lines,
-        }
-        #: sections serialized by splicing per-instruction fragments
-        self._json_builders = {
-            "fetch": self._json_fetch, "rob": self._json_rob,
-            "issueWindows": self._json_windows, "loadQueue": self._json_loadq,
-        }
         #: deepcopy memo seed for save/restore: static objects shared by
         #: every in-flight instruction (built lazily, see _checkpoint_memo)
         self._static_memo: Optional[Dict[int, object]] = None
@@ -552,6 +539,19 @@ class Cpu:
     def _snap_l2_lines(self):
         return self.l2_cache.lines_snapshot() if self.l2_cache else None
 
+    #: section -> payload builder, a plain function called with the Cpu:
+    #: bound methods kept on the instance would make every Cpu a reference
+    #: cycle, alive (memory pages, program image and all) until a full
+    #: garbage collection
+    _SECTION_BUILDERS = {
+        "fetch": _snap_fetch, "rob": _snap_rob, "issueWindows": _snap_windows,
+        "functionalUnits": _snap_fus, "memoryUnits": _snap_mem_units,
+        "loadQueue": _snap_loadq, "storeBuffer": _snap_storeb,
+        "registers": lambda cpu: cpu.arch_regs.snapshot(),
+        "rename": lambda cpu: cpu.rename.snapshot(),
+        "cache": _snap_cache_lines, "l2Cache": _snap_l2_lines,
+    }
+
     def section_versions(self) -> Dict[str, object]:
         """Current dirty-version token of every snapshot section.
 
@@ -581,10 +581,11 @@ class Cpu:
         an active one rebuilds only the blocks that moved."""
         versions = self.section_versions()
         section = self._snap_cache.section
-        builders = self._section_builders
+        builders = self._SECTION_BUILDERS
         data = {"cycle": self.cycle, "pc": self.pc, "halted": self.halted}
         for name in SNAPSHOT_SECTIONS:
-            data[name] = section(name, versions[name], builders[name])
+            data[name] = section(name, versions[name],
+                                 partial(builders[name], self))
         return data
 
     # -- serialized fragments (repro.sim.state.RawJson) ------------------
@@ -610,6 +611,11 @@ class Cpu:
     def _json_loadq(self) -> str:
         return self._json_list(self.load_queue)
 
+    #: sections serialized by splicing per-instruction fragments (plain
+    #: functions, as in _SECTION_BUILDERS)
+    _JSON_BUILDERS = {"fetch": _json_fetch, "rob": _json_rob,
+                      "issueWindows": _json_windows, "loadQueue": _json_loadq}
+
     def section_json(self, name: str,
                      version: Optional[object] = None) -> str:
         """Serialized payload of one snapshot section, cached per version.
@@ -621,11 +627,12 @@ class Cpu:
         one C-encoder call per content change."""
         if version is None:
             version = self.section_versions()[name]
-        fragment = self._json_builders.get(name)
+        fragment = self._JSON_BUILDERS.get(name)
         if fragment is not None:
-            return self._snap_cache.section(name + "#json", version, fragment)
-        payload = self._snap_cache.section(name, version,
-                                           self._section_builders[name])
+            return self._snap_cache.section(name + "#json", version,
+                                            partial(fragment, self))
+        payload = self._snap_cache.section(
+            name, version, partial(self._SECTION_BUILDERS[name], self))
         return self._snap_cache.section(name + "#json", version,
                                         lambda: json.dumps(payload))
 

@@ -10,7 +10,7 @@ comparable record-for-record.
 
 from __future__ import annotations
 
-import copy
+import json
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -82,13 +82,16 @@ def apply_assignment(payload: dict, path: str, value: object) -> None:
 def plan_jobs(spec: SweepSpec) -> List[Job]:
     """Expand *spec* into its ordered job list (pure, deterministic)."""
     spec.validate()
-    base_config = spec.resolve_base_config()
+    # every job gets its own copy of the base configuration: encoded once,
+    # decoded per job (plain JSON data, so a copy for a fraction of what
+    # copy.deepcopy costs)
+    base_config = json.dumps(spec.resolve_base_config())
     jobs: List[Job] = []
     for index, sweep_point in enumerate(spec.points()):
         program = spec.programs[sweep_point.program]
         payload: dict = {
             "program": program.to_json(),
-            "config": copy.deepcopy(base_config),
+            "config": json.loads(base_config),
             "collect": spec.collect,
         }
         if spec.max_cycles is not None:

@@ -14,6 +14,16 @@ route: ``GET /explore/stream``) as chunked NDJSON — one event per chunk,
 flushed as it happens, so ``repro-sim explore --follow`` renders sweep
 progress live instead of polling ``/explore/status``.  This module
 compares no paths of its own.
+
+Replies go out as they are written: connections run with Nagle's
+algorithm off (``TCP_NODELAY``), so a JSON reply's body, written after
+its headers, does not wait for the client to acknowledge them (a delayed
+ACK holds it ~40 ms).  Closing drains the server: :meth:`SimServer.
+server_close` shuts the read side of every open connection, so an idle
+keep-alive connection reads end-of-file and ends at once while a request
+in progress still writes its reply, then joins every connection's
+thread.  ``serve()`` therefore returns only after every request it took
+has been answered.
 """
 
 from __future__ import annotations
@@ -21,11 +31,12 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import socket
 import threading
 import time
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.server.protocol import Api, ApiError
 from repro.sim.state import dumps_raw
@@ -59,6 +70,7 @@ def _gunzip(data: bytes) -> bytes:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-sim/1.0"
+    disable_nagle_algorithm = True
 
     # quiet by default; the load test would otherwise spam the console
     def log_message(self, fmt, *args):  # pragma: no cover - logging
@@ -205,14 +217,18 @@ class SimServer(ThreadingHTTPServer):
     Each request runs to completion on its connection's thread, session
     simulation included (a session's requests serialize on its lock);
     design-space sweeps run on the explore manager's workers (see
-    :mod:`repro.server.protocol`).
+    :mod:`repro.server.protocol`).  The threads are daemons, so a server
+    nobody closes does not hold its process up; :meth:`server_close`
+    waits for them instead.
     """
-
-    daemon_threads = True
 
     def __init__(self, address: Tuple[str, int] = ("127.0.0.1", 0),
                  api: Optional[Api] = None, enable_gzip: bool = True,
                  overhead_ms: float = 0.0, verbose: bool = False):
+        #: open connection -> the thread serving it (set before binding:
+        #: a bind failure calls server_close() from TCPServer.__init__)
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
         self.api = api or Api()
         self.enable_gzip = enable_gzip
@@ -229,8 +245,34 @@ class SimServer(ThreadingHTTPServer):
         thread.start()
         return thread
 
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        # forget the connection before it is closed, so server_close()
+        # only ever shuts a socket that is still open
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
     def server_close(self) -> None:
         super().server_close()
+        # drain: an idle keep-alive connection reads EOF and ends, a
+        # request in progress still writes its reply (the write side
+        # stays open); then wait for every connection's thread
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:     # the client already hung up
+                    pass
+            threads = list(self._connections.values())
+        for thread in threads:
+            thread.join()
         # bind failures call server_close() from TCPServer.__init__
         # before __init__ here ever assigned self.api
         api = getattr(self, "api", None)

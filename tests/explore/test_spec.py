@@ -111,12 +111,25 @@ class TestExpansion:
 class TestPlanner:
     def test_payloads_are_self_contained_and_independent(self):
         spec = SweepSpec.from_json(minimal_spec())
-        jobs = plan_jobs(spec)
+        jobs, planned = plan_jobs(spec), plan_jobs(spec)
         assert jobs[0].payload["config"]["buffers"]["fetchWidth"] == 1
         assert jobs[1].payload["config"]["buffers"]["fetchWidth"] == 2
-        # mutating one payload must not leak into its siblings
-        jobs[0].payload["config"]["buffers"]["robSize"] = 99
-        assert jobs[1].payload["config"]["buffers"]["robSize"] != 99
+
+        # changing anything in one job's configuration must leave its
+        # siblings as planned: no dict or list is shared between jobs
+        def scribble(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    scribble(value)
+                node["scribbled"] = True
+            elif isinstance(node, list):
+                for value in node:
+                    scribble(value)
+                node.append("scribbled")
+
+        scribble(jobs[0].payload["config"])
+        assert jobs[1].payload == planned[1].payload
+        assert jobs[0].payload != planned[0].payload
 
     def test_dict_axis_moves_coupled_parameters(self):
         spec = SweepSpec.from_json(minimal_spec(axes=[

@@ -1,5 +1,6 @@
 """Every example script must run cleanly (they are executable docs)."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,13 +8,23 @@ import sys
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
-def run_example(name: str, args=(), timeout=300) -> str:
+def run_example(name: str, args=(), timeout=300, env=None) -> str:
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout, env=env)
     assert result.returncode == 0, \
         f"{name} failed:\n{result.stdout}\n{result.stderr}"
     return result.stdout
+
+
+def run_design_sweep(tmp_path, *args) -> str:
+    """design_sweep.py with its own temporary directory, which must hold
+    no ``repro-sweep-*`` records directory once the script is done."""
+    out = run_example("design_sweep.py", args=args,
+                      env={**os.environ, "TMPDIR": str(tmp_path)})
+    assert f"records round-tripped through {tmp_path}" in out
+    assert list(tmp_path.glob("repro-sweep-*")) == []
+    return out
 
 
 class TestExamples:
@@ -44,8 +55,8 @@ class TestExamples:
         assert "row-major" in out and "col-major" in out
         assert "WRONG" not in out
 
-    def test_design_sweep(self):
-        out = run_example("design_sweep.py", args=["--warehouse"])
+    def test_design_sweep(self, tmp_path):
+        out = run_design_sweep(tmp_path, "--warehouse")
         assert "Design-space sweep: width-x-cache" in out
         assert "best configuration: program=checksum/width=wide/cache=big" \
             in out
@@ -58,13 +69,13 @@ class TestExamples:
         assert "Pareto frontier (cycles vs energy)" in out
         assert "rows, baseline pin included" in out
 
-    def test_design_sweep_remote_fleet(self):
-        out = run_example("design_sweep.py", args=["--backend", "remote"])
+    def test_design_sweep_remote_fleet(self, tmp_path):
+        out = run_design_sweep(tmp_path, "--backend", "remote")
         assert "spawned worker fleet" in out
         assert "records identical to the local pool run" in out
 
-    def test_design_sweep_server_fleet(self):
-        out = run_example("design_sweep.py", args=["--backend", "fleet"])
+    def test_design_sweep_server_fleet(self, tmp_path):
+        out = run_design_sweep(tmp_path, "--backend", "fleet")
         assert "2 workers registered" in out
         assert "4 streamed finish events" in out
         assert "records identical to the local pool run" in out

@@ -3,8 +3,14 @@
 import gzip
 import http.client
 import json
+import os
+import pathlib
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -26,6 +32,7 @@ def server():
     srv.start_background()
     yield srv
     srv.shutdown()
+    srv.server_close()
 
 
 @pytest.fixture
@@ -349,6 +356,95 @@ class TestClientHangUp:
             server.server_close()
 
 
+class TestShutdown:
+    def test_close_waits_for_the_reply_in_progress(self, monkeypatch):
+        """server_close() drains: a request already running when the
+        server closes still sends its whole reply, and close returns only
+        after it has."""
+        server = SimServer(("127.0.0.1", 0))
+        entered, closing, closed, sent = (threading.Event(),
+                                          threading.Event(),
+                                          threading.Event(),
+                                          threading.Event())
+        answer, send = server.api.handle, httpd._Handler._send
+
+        def slow(method, path, payload):
+            if path == "/simulate":
+                entered.set()
+                assert closing.wait(10.0)
+                # a close that does not wait for this request returns
+                # in the meantime
+                closed.wait(0.3)
+            return answer(method, path, payload)
+
+        def send_and_mark(handler, status, payload):
+            send(handler, status, payload)
+            sent.set()
+
+        def close():
+            server.server_close()
+            sent_first.append(sent.is_set())
+            closed.set()
+
+        server.api.handle = slow
+        monkeypatch.setattr(httpd._Handler, "_send", send_and_mark)
+        server.start_background()
+        client = SimClient("127.0.0.1", server.port)
+        replies, sent_first = [], []
+        caller = threading.Thread(target=lambda: replies.append(
+            client.simulate("li a0, 9\nebreak")))
+        closer = threading.Thread(target=close)
+        caller.start()
+        try:
+            assert entered.wait(10.0)
+            server.shutdown()
+            closing.set()
+            closer.start()
+            closer.join(10.0)
+            assert sent_first == [True]
+        finally:
+            closing.set()
+            closed.set()
+            caller.join(10.0)
+            client.close()
+            closer.join(10.0)
+        assert replies[0]["success"] and replies[0]["result"]["cycles"] > 0
+
+    def test_sigint_with_an_idle_keep_alive_client_exits_at_once(self):
+        """An idle keep-alive connection must not hold a SIGINT'd server
+        up: its read side is shut, so its thread ends at once."""
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        # SIGINT is KeyboardInterrupt even where the test runner's own
+        # shell started it ignored
+        code = ("import signal, sys; "
+                "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                "from repro.server.httpd import main; "
+                "sys.exit(main(['--port', '0', '--quiet']))")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        client = None
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"listening on http://[^:]+:(\d+)",
+                                 banner).group(1))
+            client = SimClient("127.0.0.1", port)
+            assert client.health()["status"] == "ok"   # then stays idle
+            started = time.perf_counter()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == 0
+            assert time.perf_counter() - started < 1.0
+        finally:
+            if client is not None:
+                client.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
 class TestGzip:
     def _raw_request(self, server, accept_gzip):
         conn = http.client.HTTPConnection("127.0.0.1", server.port)
@@ -450,6 +546,18 @@ class TestSessionsOverHttp:
             view = apply_snapshot_delta(view, delta)
         assert view == client.session_state(sid)["state"]
         assert client.session_close(sid)["success"]
+
+    def test_full_state_steps_do_not_wait_for_delayed_acks(self, client):
+        """A one-cycle full-state step takes the server about a
+        millisecond; a reply body that waits for the client's delayed ACK
+        of its headers (Nagle's algorithm) takes ~40 ms."""
+        sid = client.session_new(DEFAULT_PROGRAMS[0])
+        started = time.perf_counter()
+        for _ in range(20):
+            assert client.session_step(sid, 1)["success"]
+        elapsed = time.perf_counter() - started
+        assert client.session_close(sid)["success"]
+        assert elapsed < 0.4, f"20 steps took {elapsed:.3f} s"
 
     def test_memory_view_over_http(self, client):
         sid = client.session_new("""

@@ -1,9 +1,12 @@
 """Protocol-layer tests (no HTTP transport)."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.config import CpuConfig
 from repro.memory.main_memory import MAX_CAPACITY
 from repro.server.protocol import MAX_SEEK_CYCLE, Api, ApiError
@@ -251,6 +254,51 @@ class TestSessions:
     def test_session_error_on_bad_code(self, api):
         out = api.handle("POST", "/session/new", {"code": "frob"})
         assert not out["success"]
+
+
+class TestCpuLifetime:
+    """A Cpu holds its memory pages, program image and decode cache. It
+    must die of its last reference, as its session closes or its run
+    replies, not wait for a full garbage collection: a Cpu in a reference
+    cycle stays resident until then."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Weak references to the Cpus built in the test, which runs with
+        the cyclic garbage collector off."""
+        made, build = [], pipeline.Cpu.__init__
+
+        def tracked(cpu, *args, **kwargs):
+            build(cpu, *args, **kwargs)
+            made.append(weakref.ref(cpu))
+
+        monkeypatch.setattr(pipeline.Cpu, "__init__", tracked)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield made
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_closed_session_frees_its_cpu(self, api, cpus):
+        sid = api.handle("POST", "/session/new", {"code": PROGRAM})["sessionId"]
+        for route, body in (("/session/step", {"cycles": 8}),
+                            ("/session/step", {"cycles": -3}),
+                            ("/session/step", {"cycles": 1, "delta": True}),
+                            ("/session/seek", {"cycle": 12}),
+                            ("/session/seek", {"cycle": 2}),
+                            ("/session/state", {})):
+            wire(api.handle("POST", route, {"sessionId": sid, **body}))
+        assert len(cpus) == 1 and cpus[0]() is not None
+        assert api.handle("POST", "/session/close",
+                          {"sessionId": sid})["success"]
+        assert cpus[0]() is None
+
+    def test_simulate_frees_its_cpu_once_replied(self, api, cpus):
+        assert wire(api.handle("POST", "/simulate",
+                               {"code": PROGRAM, "fullState": True}))["success"]
+        assert len(cpus) == 1 and cpus[0]() is None
 
 
 class TestStepValidation:
